@@ -11,7 +11,8 @@ test:
 # The gate CI runs: everything compiles, all test suites pass, the
 # deterministic fault-injection matrix is green (with the SI anomaly
 # checker validating every run's history), the mutation battery proves
-# the checker still detects a weakened engine, the examples run, the
+# the checker still detects a weakened engine, replayed seeds do not
+# diverge (the determinism audit), the examples run, the
 # storage-elasticity contract holds (zero migration-caused aborts,
 # bounded throughput-recovery window — ELASTIC_current.json is written
 # by the elastic_scaling example during the smoke), and the
@@ -26,6 +27,7 @@ check:
 	dune runtest
 	dune exec bin/tell_check.exe -- --quick
 	dune exec bin/tell_check.exe -- --mutation
+	$(MAKE) audit
 	$(MAKE) examples-smoke
 	dune exec bin/bench_compare.exe -- --elastic ELASTIC_current.json
 	dune exec bin/tell_bench.exe -- experiment fig_cm --quick

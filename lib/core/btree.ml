@@ -259,8 +259,6 @@ let invalidate_cache t =
   Hashtbl.reset t.inner_cache;
   t.cached_root <- None
 
-let cache_size t = Hashtbl.length t.inner_cache
-
 (* --- traversal --------------------------------------------------------------- *)
 
 let below_high key = function None -> true | Some high -> key < high
@@ -782,7 +780,7 @@ let merge_pending leaf_entries msgs =
 
 (* --- scans ------------------------------------------------------------------ *)
 
-let rec collect_range t ~lo ~hi ~limit acc (node : node) =
+let rec collect_range t ~lo ~hi acc (node : node) =
   match node with
   | Inner _ -> invalid_arg "Btree.collect_range: inner node at leaf level"
   | Leaf { entries; high_key; next; _ } ->
@@ -791,15 +789,12 @@ let rec collect_range t ~lo ~hi ~limit acc (node : node) =
           (fun acc (k, rid) -> if k >= lo && k < hi then (k, rid) :: acc else acc)
           acc entries
       in
-      let enough = limit > 0 && List.length acc >= limit in
-      let continue_right =
-        (not enough) && (match high_key with Some (hk, _) -> hk < hi | None -> false)
-      in
+      let continue_right = match high_key with Some (hk, _) -> hk < hi | None -> false in
       if continue_right then begin
         match next with
         | Some n ->
             let node', _ = load_node t n in
-            collect_range t ~lo ~hi ~limit acc node'
+            collect_range t ~lo ~hi acc node'
         | None -> acc
       end
       else acc
@@ -807,37 +802,29 @@ let rec collect_range t ~lo ~hi ~limit acc (node : node) =
 (* Leaf-level entries of [lo, hi) only — pending buffer messages are the
    caller's business (and must already have been fetched, see
    [pending_for_range]). *)
-let rec leaf_range t ~lo ~hi ~limit =
+let rec leaf_range t ~lo ~hi =
   match
     let _, node, _, _ = locate_leaf t (lo, min_int) in
-    List.rev (collect_range t ~lo ~hi ~limit [] node)
+    List.rev (collect_range t ~lo ~hi [] node)
   with
   | exception Retry ->
       (* The right-walk crossed a leaf deleted by a concurrent split
          loser's cleanup: restart the scan from a fresh root. *)
       invalidate_cache t;
-      leaf_range t ~lo ~hi ~limit
+      leaf_range t ~lo ~hi
   | all -> all
 
 (* Stripes strictly before leaves — the unconditional safe order: a
    message purged from a stripe cell was applied before the stripe read
    returned, so the later leaf fetch sees its effect. *)
-let range_limit_ordered t ~lo ~hi ~limit =
+let range_ordered t ~lo ~hi =
   let msgs = pending_for_range t ~lo ~hi in
-  (* Pending deletes may shrink the leaf harvest below [limit]: widen
-     the leaf walk by the message count so the post-merge truncation is
-     the only one that binds. *)
-  let eff_limit = if limit > 0 && msgs <> [] then limit + List.length msgs else limit in
-  let leaf = leaf_range t ~lo ~hi ~limit:eff_limit in
-  let merged = if msgs = [] then leaf else merge_pending leaf msgs in
-  if limit > 0 then List.filteri (fun i _ -> i < limit) merged else merged
+  let leaf = leaf_range t ~lo ~hi in
+  if msgs = [] then leaf else merge_pending leaf msgs
 
-let range_limit t ~lo ~hi ~limit =
+let range t ~lo ~hi =
   if hi <= lo then []
-  else if !skip_buffer_merge then begin
-    let leaf = leaf_range t ~lo ~hi ~limit in
-    if limit > 0 then List.filteri (fun i _ -> i < limit) leaf else leaf
-  end
+  else if !skip_buffer_merge then leaf_range t ~lo ~hi
   else begin
     (* Overlap the stripe fetch with the leaf walk so the buffer merge
        costs no extra serialized round trip.  The ordering argument
@@ -855,45 +842,12 @@ let range_limit t ~lo ~hi ~limit =
         match pending_for_range t ~lo ~hi with
         | msgs -> Tell_sim.Ivar.fill pending msgs
         | exception e -> Tell_sim.Ivar.fill_exn pending e);
-    let leaf = leaf_range t ~lo ~hi ~limit in
+    let leaf = leaf_range t ~lo ~hi in
     let msgs = Tell_sim.Ivar.read pending in
-    if Tell_sim.Engine.now engine - t0 > merge_guard_ns then
-      range_limit_ordered t ~lo ~hi ~limit
-    else begin
-      let merged = if msgs = [] then leaf else merge_pending leaf msgs in
-      let take lst = List.filteri (fun i _ -> i < limit) lst in
-      (* A walk that stopped at [limit] harvested only a complete prefix
-         of the range: more leaf entries may exist to its right.  The
-         merge is then untrustworthy in two ways — pending deletes can
-         shrink it below [limit] (more disk entries must be walked to
-         refill), and a pending add sorting past the last walked entry
-         can slip into the returned prefix in place of unwalked disk
-         entries that sort before it (the merged COUNT alone cannot tell:
-         a delete and an add can cancel out).  Either way: rewalk
-         widened, now strictly after the stripe fetch (the safe order).
-         The widened walk is immune — it harvests [limit + |msgs|]
-         entries, so at least [limit] survivors come from the complete
-         prefix and any beyond-prefix add is truncated away. *)
-      let truncated = limit > 0 && List.length leaf >= limit in
-      let unsafe =
-        truncated
-        && (List.length merged < limit
-           ||
-           match List.rev leaf with
-           | last :: _ -> List.exists (fun e -> entry_compare e last > 0) (take merged)
-           | [] -> false)
-      in
-      if unsafe then begin
-        let leaf = leaf_range t ~lo ~hi ~limit:(limit + List.length msgs) in
-        let merged = if msgs = [] then leaf else merge_pending leaf msgs in
-        take merged
-      end
-      else if limit > 0 then take merged
-      else merged
-    end
+    if Tell_sim.Engine.now engine - t0 > merge_guard_ns then range_ordered t ~lo ~hi
+    else if msgs = [] then leaf
+    else merge_pending leaf msgs
   end
-
-let range t ~lo ~hi = range_limit t ~lo ~hi ~limit:0
 
 let lookup t ~key =
   List.map snd (range t ~lo:key ~hi:(key ^ "\x00"))
@@ -1078,24 +1032,17 @@ let lookup_many_grouped groups =
             routed)
         routed_groups
 
-let lookup_many t ~keys =
-  match lookup_many_grouped [ (t, keys) ] with
-  | [ results ] -> results
-  | _ -> List.map (fun key -> (key, lookup t ~key)) keys
-
 (* --- batched maintenance ------------------------------------------------------ *)
 
-(* Batched inserts/removals (§5.1 batching applied to index maintenance):
-   route every entry through the cached inner levels, fetch all target
-   leaves with one multi-get, apply one LL/SC conditional write per leaf,
-   and retry only the entries whose leaf went stale, conflicted, or would
-   split.  Groups for several trees attached to the same store client
-   share the two batched round trips, so a commit touching N index
-   entries across K trees costs ~2 round trips instead of N full
-   traversals.  A leaf that overflows is split in place (all of the
-   batch's entries installed across the two halves at once); the cached
-   inner path is only invalidated when routing was actually stale, never
-   on a plain store-conditional conflict. *)
+(* The flusher's bulk apply (§5.1 batching applied to index
+   maintenance): route every message through the cached inner levels,
+   fetch all target leaves with one multi-get, apply one LL/SC
+   conditional write per leaf, and retry only the messages whose leaf
+   went stale, conflicted, or would split.  A leaf that overflows is
+   split in place (all of the batch's entries installed across the two
+   halves at once); the cached inner path is only invalidated when
+   routing was actually stale, never on a plain store-conditional
+   conflict. *)
 
 let apply_single t = function
   | Add (key, rid) -> insert_aux t ~attempts:max_attempts ~key ~rid
@@ -1134,127 +1081,89 @@ let split_leaf t id ~token entries' ~high_key ~next =
 
 let batch_rounds = 4
 
-let rec batch_round ~rounds groups =
-  match List.filter (fun (_, ops) -> ops <> []) groups with
-  | [] -> ()
-  | groups when rounds <= 0 ->
-      List.iter (fun (t, ops) -> List.iter (apply_single t) ops) groups
-  | groups -> (
-      match shared_kv groups with
-      | None -> ()
-      | Some kv ->
-          (* Route every op to a leaf through the cached inner levels; a
-             routing failure marks the tree's cached path as stale. *)
-          let work =
-            List.map
-              (fun (t, ops) ->
-                let by_leaf = Hashtbl.create 8 in
-                let miss = ref [] in
-                List.iter
-                  (fun op ->
-                    match leaf_id_for t (batch_target op) (root_id t) with
-                    | id ->
-                        Hashtbl.replace by_leaf id
-                          (op :: Option.value ~default:[] (Hashtbl.find_opt by_leaf id))
-                    | exception Retry -> miss := op :: !miss)
-                  ops;
-                let retry = ref (List.rev !miss) in
-                let stale = ref (!miss <> []) in
-                (t, by_leaf, retry, stale))
-              groups
-          in
-          (* One multi-get for every target leaf of every tree. *)
-          let items =
-            List.concat_map
-              (fun (t, by_leaf, retry, stale) ->
-                Hashtbl.fold
-                  (fun id ops acc -> (t, id, List.rev ops, retry, stale) :: acc)
-                  by_leaf [])
-              work
-          in
-          let cells = Kv.Client.multi_get kv (List.map (fun (t, id, _, _, _) -> node_key t id) items) in
-          let cas_jobs = ref [] in
-          let split_jobs = ref [] in
-          List.iter2
-            (fun (t, id, leaf_ops, retry, stale) cell ->
-              match cell with
-              | None ->
+let rec batch_round t ~rounds ops =
+  if ops = [] then ()
+  else if rounds <= 0 then List.iter (apply_single t) ops
+  else begin
+    (* Route every op to a leaf through the cached inner levels; a
+       routing failure marks the cached path as stale. *)
+    let by_leaf = Hashtbl.create 8 in
+    let miss = ref [] in
+    List.iter
+      (fun op ->
+        match leaf_id_for t (batch_target op) (root_id t) with
+        | id ->
+            Hashtbl.replace by_leaf id (op :: Option.value ~default:[] (Hashtbl.find_opt by_leaf id))
+        | exception Retry -> miss := op :: !miss)
+      ops;
+    let retry = ref (List.rev !miss) in
+    let stale = ref (!miss <> []) in
+    (* One multi-get for every target leaf. *)
+    let items = Hashtbl.fold (fun id ops acc -> (id, List.rev ops) :: acc) by_leaf [] in
+    let cells = Kv.Client.multi_get t.kv (List.map (fun (id, _) -> node_key t id) items) in
+    let cas_jobs = ref [] in
+    let split_jobs = ref [] in
+    List.iter2
+      (fun (id, leaf_ops) cell ->
+        match cell with
+        | None ->
+            stale := true;
+            retry := !retry @ leaf_ops
+        | Some (data, token) -> (
+            match memo_node t id ~data ~token with
+            | Inner _ ->
+                stale := true;
+                retry := !retry @ leaf_ops
+            | Leaf { entries; high_key; next } ->
+                (* The routed leaf may have split since the cache was
+                   filled: ops beyond its high key belong to a right
+                   sibling and must be re-routed. *)
+                let fits, beyond =
+                  List.partition (fun op -> below_high (batch_target op) high_key) leaf_ops
+                in
+                if beyond <> [] then begin
                   stale := true;
-                  retry := !retry @ leaf_ops
-              | Some (data, token) -> (
-                  match memo_node t id ~data ~token with
-                  | Inner _ ->
-                      stale := true;
-                      retry := !retry @ leaf_ops
-                  | Leaf { entries; high_key; next } ->
-                      (* The routed leaf may have split since the cache
-                         was filled: ops beyond its high key belong to a
-                         right sibling and must be re-routed. *)
-                      let fits, beyond =
-                        List.partition (fun op -> below_high (batch_target op) high_key) leaf_ops
-                      in
-                      if beyond <> [] then begin
-                        stale := true;
-                        retry := !retry @ beyond
-                      end;
-                      if fits <> [] then begin
-                        let entries' = apply_ops_to_entries entries fits in
-                        if entries' == entries || entries' = entries then ()
-                        else if Array.length entries' <= max_leaf_entries then
-                          cas_jobs :=
-                            ( t, id, fits,
-                              Leaf { entries = entries'; high_key; next },
-                              Kv.Op.Put_if
-                                ( node_key t id, Some token,
-                                  encode_node (Leaf { entries = entries'; high_key; next }) ) )
-                            :: !cas_jobs
-                        else if Array.length entries' <= 2 * max_leaf_entries then
-                          split_jobs := (t, id, token, entries', high_key, next, fits, retry) :: !split_jobs
-                        else
-                          (* A degenerate bulk load into one leaf: the
-                             per-entry path splits as often as needed. *)
-                          List.iter (apply_single t) fits
-                      end))
-            items cells;
-          (* One conditional multi-write covering every tree's leaves. *)
-          (match List.rev !cas_jobs with
-          | [] -> ()
-          | jobs ->
-              let results = Kv.Client.multi_write kv (List.map (fun (_, _, _, _, op) -> op) jobs) in
-              List.iter2
-                (fun (t, id, leaf_ops, node', _) result ->
-                  match result with
-                  | Kv.Op.Token token -> Hashtbl.replace t.decoded id (token, node')
-                  | _ ->
-                      (* Lost the LL/SC race: the routing is usually still
-                         valid, so only the leaf is re-fetched next round. *)
-                      Hashtbl.remove t.decoded id;
-                      let retry =
-                        let (_, _, _, r, _) =
-                          List.find (fun (t', id', _, _, _) -> t' == t && id' = id) items
-                        in
-                        r
-                      in
-                      retry := !retry @ leaf_ops)
-                jobs results);
-          List.iter
-            (fun (t, id, token, entries', high_key, next, fits, retry) ->
-              if not (split_leaf t id ~token entries' ~high_key ~next) then retry := !retry @ fits)
-            (List.rev !split_jobs);
-          List.iter (fun (t, _, _, stale) -> if !stale then invalidate_cache t) work;
-          batch_round ~rounds:(rounds - 1)
-            (List.map (fun (t, _, retry, _) -> (t, !retry)) work))
-
-let insert_many_grouped groups =
-  List.iter (fun (t, _) -> if t.orphans <> [] then reclaim_orphans t) groups;
-  batch_round ~rounds:batch_rounds
-    (List.map (fun (t, entries) -> (t, List.map (fun e -> Add e) entries)) groups)
-
-let insert_many t ~entries = insert_many_grouped [ (t, entries) ]
-
-let remove_many t ~entries =
-  if t.orphans <> [] then reclaim_orphans t;
-  batch_round ~rounds:batch_rounds [ (t, List.map (fun e -> Del e) entries) ]
+                  retry := !retry @ beyond
+                end;
+                if fits <> [] then begin
+                  let entries' = apply_ops_to_entries entries fits in
+                  if entries' == entries || entries' = entries then ()
+                  else if Array.length entries' <= max_leaf_entries then begin
+                    let node' = Leaf { entries = entries'; high_key; next } in
+                    cas_jobs :=
+                      (id, fits, node', Kv.Op.Put_if (node_key t id, Some token, encode_node node'))
+                      :: !cas_jobs
+                  end
+                  else if Array.length entries' <= 2 * max_leaf_entries then
+                    split_jobs := (id, token, entries', high_key, next, fits) :: !split_jobs
+                  else
+                    (* A degenerate bulk load into one leaf: the per-entry
+                       path splits as often as needed. *)
+                    List.iter (apply_single t) fits
+                end))
+      items cells;
+    (* One conditional multi-write covering every leaf. *)
+    (match List.rev !cas_jobs with
+    | [] -> ()
+    | jobs ->
+        let results = Kv.Client.multi_write t.kv (List.map (fun (_, _, _, op) -> op) jobs) in
+        List.iter2
+          (fun (id, leaf_ops, node', _) result ->
+            match result with
+            | Kv.Op.Token token -> Hashtbl.replace t.decoded id (token, node')
+            | _ ->
+                (* Lost the LL/SC race: the routing is usually still
+                   valid, so only the leaf is re-fetched next round. *)
+                Hashtbl.remove t.decoded id;
+                retry := !retry @ leaf_ops)
+          jobs results);
+    List.iter
+      (fun (id, token, entries', high_key, next, fits) ->
+        if not (split_leaf t id ~token entries' ~high_key ~next) then retry := !retry @ fits)
+      (List.rev !split_jobs);
+    if !stale then invalidate_cache t;
+    batch_round t ~rounds:(rounds - 1) !retry
+  end
 
 (* --- Bε buffer write side (§3d) ----------------------------------------------- *)
 
@@ -1307,15 +1216,10 @@ let enqueue_note meta results =
       | _ -> (t, stripe, 0))
     meta results
 
-let enqueue_many_grouped groups =
-  match enqueue_prepare groups with
-  | [], _ -> []
-  | ops, meta -> (
-      match shared_kv (List.filter (fun (_, o) -> o <> []) groups) with
-      | None -> []
-      | Some kv -> enqueue_note meta (Kv.Client.multi_write kv ops))
-
-let enqueue_many t ~ops = ignore (enqueue_many_grouped [ (t, ops) ])
+let enqueue_many t ~ops =
+  match enqueue_prepare [ (t, ops) ] with
+  | [], _ -> ()
+  | appends, _ -> ignore (Kv.Client.multi_write t.kv appends)
 
 let drop_msgs n msgs =
   let rec go n msgs = if n <= 0 then msgs else match msgs with [] -> [] | _ :: rest -> go (n - 1) rest in
@@ -1336,7 +1240,7 @@ let rec flush_stripe_aux t ~stripe ~attempts =
     | Some (data, token) ->
         let st = decode_stripe data in
         let pending = drop_msgs st.applied st.msgs in
-        if pending <> [] then batch_round ~rounds:batch_rounds [ (t, pending) ];
+        batch_round t ~rounds:batch_rounds pending;
         let now = Tell_sim.Engine.now (Kv.Cluster.engine (Kv.Client.cluster t.kv)) in
         let purge_n =
           if st.applied > 0 && now - st.applied_at >= purge_grace_ns then st.applied else 0

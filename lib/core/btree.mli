@@ -29,46 +29,20 @@ val attach : Tell_kv.Client.t -> name:string -> t
 val name : t -> string
 
 val insert : t -> key:string -> rid:int -> unit
-val remove : t -> key:string -> rid:int -> unit
-
-val insert_many : t -> entries:(string * int) list -> unit
-(** Insert a batch of entries with (at most) a couple of batched store
-    round trips: the cached inner levels route every entry to its leaf,
-    the leaves are fetched with one multi-get, and each leaf receives one
-    LL/SC conditional write covering all its entries.  Entries whose leaf
-    went stale or conflicted are re-routed in a fresh round; entries whose
-    leaf would split fall back to per-entry traversals.  Equivalent to
-    calling {!insert} per entry. *)
-
-val remove_many : t -> entries:(string * int) list -> unit
-(** Batched {!remove}; same strategy as {!insert_many}. *)
-
-val insert_many_grouped : (t * (string * int) list) list -> unit
-(** {!insert_many} over several trees at once.  All trees must be
-    attached to the same store client: the groups share the leaf
-    multi-get and the conditional multi-write, so one commit's index
-    maintenance across all its trees costs ~2 batched round trips
-    total. *)
-
-val lookup : t -> key:string -> int list
-(** All rids stored under exactly [key], ascending. *)
-
-val lookup_many : t -> keys:string list -> (string * int list) list
-(** Point lookups for many keys with (at most) one batched store round
-    trip: the cached inner levels route every key to its leaf, the leaves
-    are fetched together, and only keys whose leaf turned out stale fall
-    back to individual traversals.  Results are in input order. *)
 
 val lookup_many_grouped : (t * string list) list -> (string * int list) list list
-(** [lookup_many] generalised across several trees attached to the same
-    store client: all routed leaves of all groups are fetched in one
-    multi-get, so a transaction's point lookups across many indexes cost
-    one batched round trip total.  The result mirrors the input shape. *)
+(** Point lookups for many keys across several trees attached to the
+    same store client, with (at most) one batched store round trip: the
+    cached inner levels route every key to its leaf, and all routed
+    leaves of all groups — plus the buffer stripes covering the keys —
+    are fetched in one multi-get.  Keys whose leaf turned out stale, and
+    every key of a fetch that overran the merge guard, fall back to
+    ordered per-key traversals.  The result mirrors the input shape. *)
 
 val range : t -> lo:string -> hi:string -> (string * int) list
-(** Entries with [lo <= key < hi], in key order. *)
-
-val range_limit : t -> lo:string -> hi:string -> limit:int -> (string * int) list
+(** Entries with [lo <= key < hi], in key order.  The buffer stripes are
+    fetched concurrently with the leaf walk; a scan that overruns the
+    merge guard is redone stripes-then-leaves. *)
 
 (** {1 Bε message buffers (§3d)}
 
@@ -82,23 +56,21 @@ val range_limit : t -> lo:string -> hi:string -> limit:int -> (string * int) lis
 
 type batch_op = Add of (string * int) | Del of (string * int)
 
-val enqueue_many_grouped : (t * batch_op list) list -> (t * int * int) list
-(** Append each tree's messages to the buffer stripes covering their
-    keys: one blind multi-write round trip total, never a conflict, and
-    the acknowledgement makes the mutations durable (replicated like any
-    other cell).  All trees must share one store client.  Returns
-    [(tree, stripe, stripe cell bytes after the append)] so callers can
-    nudge the flusher at a size threshold. *)
-
 val enqueue_many : t -> ops:batch_op list -> unit
+(** Append the messages to the buffer stripes covering their keys: one
+    blind multi-write round trip, never a conflict, and the
+    acknowledgement makes the mutations durable (replicated like any
+    other cell). *)
 
 val enqueue_prepare : (t * batch_op list) list -> Tell_kv.Op.t list * (t * int) list
-(** The two halves of {!enqueue_many_grouped}, for callers that fuse the
-    stripe appends into a larger multi-write (the commit pipeline rides
-    them in the apply round trip): [enqueue_prepare] builds the blind
-    append ops plus aligned [(tree, stripe)] metadata without touching
-    the store; {!enqueue_note} maps the ops' results back to
-    [(tree, stripe, cell bytes)]. *)
+(** {!enqueue_many} split in two and generalised across trees that share
+    one store client, for callers that fuse the stripe appends into a
+    larger multi-write (the commit pipeline rides them in the apply
+    round trip): [enqueue_prepare] builds the blind append ops plus
+    aligned [(tree, stripe)] metadata without touching the store;
+    {!enqueue_note} maps the ops' results back to
+    [(tree, stripe, stripe cell bytes after the append)] so callers can
+    nudge the flusher at a size threshold. *)
 
 val enqueue_note : (t * int) list -> Tell_kv.Op.result list -> (t * int * int) list
 
@@ -108,8 +80,6 @@ val flush_stripe : t -> stripe:int -> int
     race with concurrent appends; must run inside a fiber.  Returns the
     number of messages applied. *)
 
-val flush_all : t -> int
-
 val stripe_cell_needs_flush : string -> now:int -> bool
 (** Would {!flush_stripe} on a stripe cell holding this raw value do any
     work?  The background flusher's multi-get prefilter. *)
@@ -118,23 +88,12 @@ val pending_messages : t -> int
 (** Unapplied messages across all stripes; 0 once quiesced + flushed. *)
 
 val stripe_count : t -> int
-val stripe_of : t -> string -> int
-
-val purge_grace_ns : int
-(** Applied messages stay in the stripe cell at least this long before
-    being purged — the slack that makes single-round-trip merged reads
-    sound (see [merge_guard_ns] < [purge_grace_ns]). *)
-
-val merge_guard_ns : int
 
 val unsafe_set_skip_buffer_merge : bool -> unit
 (** Harness mutant: make reads ignore pending buffer messages, so a
     committed-but-unflushed index entry is invisible.  The
     [tell_check --mutation] battery proves the read-side merge is
     load-bearing with it.  Never set outside the harness. *)
-
-val cache_size : t -> int
-val invalidate_cache : t -> unit
 
 val bulk_cells : name:string -> entries:(string * int) list -> (string * string) list
 (** Build a complete, balanced tree from sorted [(key, rid)] entries as a
@@ -143,6 +102,18 @@ val bulk_cells : name:string -> entries:(string * int) list -> (string * string)
     [Tell_kv.Cluster.poke].  The bulk-load path for benchmark populations. *)
 
 (**/**)
+
+(** Test hooks: entry points only the test suites call. *)
+
+val remove : t -> key:string -> rid:int -> unit
+
+val lookup : t -> key:string -> int list
+(** All rids stored under exactly [key], ascending. *)
+
+val flush_all : t -> int
+(** {!flush_stripe} over every stripe; returns the messages applied. *)
+
+val stripe_of : t -> string -> int
 
 val check : t -> string list
 (** Walk the whole tree and collect structural violations — entry/separator

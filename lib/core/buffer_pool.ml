@@ -5,11 +5,6 @@ type strategy =
   | Shared_record_buffer of { capacity : int }
   | Shared_vs_buffer of { capacity : int; unit_size : int }
 
-let strategy_name = function
-  | Transaction_buffer -> "TB"
-  | Shared_record_buffer _ -> "SB"
-  | Shared_vs_buffer { unit_size; _ } -> Printf.sprintf "SBVS%d" unit_size
-
 type entry = {
   mutable record : Record.t;
   mutable token : int;
@@ -95,6 +90,8 @@ let maybe_evict t =
 
 let decode_memo_cap = 16_384
 
+(* Token-keyed decode memoisation: parsing an unchanged cell twice is
+   pure waste.  Not a data cache — callers still fetch from the store. *)
 let decode_record t ~key ~data ~token =
   match Hashtbl.find_opt t.decode_memo key with
   | Some (cached_token, record) when cached_token = token -> record
@@ -381,5 +378,3 @@ let note_applied t ~table ~rid ~record ~token ~tid =
         | None -> Version_set.add (t.vmax ()) tid
       in
       install t ~key ~record ~token ~validity
-
-let invalidate t ~table ~rid = Hashtbl.remove t.entries (Keys.record ~table ~rid)

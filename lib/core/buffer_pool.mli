@@ -21,8 +21,6 @@ type strategy =
   | Shared_record_buffer of { capacity : int }
   | Shared_vs_buffer of { capacity : int; unit_size : int }
 
-val strategy_name : strategy -> string
-
 type pool
 
 val create :
@@ -49,13 +47,6 @@ val note_applied :
 (** Write-through hook called after a transaction's update was applied
     successfully: refresh the buffered copy (tagged [V_max ∪ {tid}]) and,
     under {!Shared_vs_buffer}, grow the unit's version-set cell. *)
-
-val invalidate : pool -> table:string -> rid:int -> unit
-
-val decode_record : pool -> key:string -> data:string -> token:int -> Record.t
-(** Token-keyed decode memoisation shared with the scan path: parsing an
-    unchanged cell twice is pure waste.  Not a data cache — callers still
-    fetch from the store. *)
 
 (** {1 Statistics} *)
 

@@ -116,15 +116,3 @@ let run_once t ~tables =
         (fun index -> sweep_index t ~table:table.tbl_name ~index)
         (Schema.all_indexes table))
     tables
-
-(* The periodic background fiber ("e.g., every hour", §5.4 — scaled to
-   simulation time). *)
-let start_periodic t ~engine ~group ~period_ns ~tables =
-  Sim.Engine.spawn engine ~group (fun () ->
-      while true do
-        Sim.Engine.sleep engine period_ns;
-        (* A transient failure mid-sweep (an [Unavailable] window, a cell
-           the decoder rejects) must not kill the only GC fiber for the
-           rest of the run: skip the round, the next one retries. *)
-        try run_once t ~tables with _ -> ()
-      done)

@@ -29,8 +29,3 @@ val run_once : t -> tables:Schema.table list -> unit
 (** One full sweep (records, then every index of every table).  Must run
     from a fiber. *)
 
-val start_periodic :
-  t -> engine:Tell_sim.Engine.t -> group:Tell_sim.Engine.Group.t -> period_ns:int ->
-  tables:Schema.table list -> unit
-(** The paper's periodic background variant ("e.g., every hour", scaled
-    to simulation time). *)

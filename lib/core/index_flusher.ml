@@ -1,7 +1,7 @@
 (* Background Bε buffer flusher (§3d).
 
    One fiber on the management group applies the secondary indexes'
-   buffered messages ([Btree.enqueue_many_grouped]) to the leaves in
+   buffered messages ([Btree.enqueue_prepare]) to the leaves in
    bulk, keeping the commit path down to one blind append per stripe.
    Correctness never depends on it running — every read path merges
    pending messages — so the flusher only bounds stripe-cell growth and
@@ -99,8 +99,10 @@ let flush_one t (index, stripe) =
           t.stats.errors <- t.stats.errors + 1)
 
 (* Flush every dirty stripe; single-flight so concurrent nudges and the
-   periodic sweep never double-apply a stripe concurrently (flushing is
-   safe against appends, but two flushers would burn CAS retries). *)
+   periodic sweep never flush one stripe concurrently.  Flushing is safe
+   against appends, but a second flusher holding an older copy of the
+   cell could re-apply a message over a newer one the first had already
+   applied. *)
 let rec drain_dirty t =
   match t.in_flight with
   | Some flush -> Sim.Ivar.read flush

@@ -38,10 +38,6 @@ val note : t -> index:string -> stripe:int -> bytes:int -> unit
     cell bytes.  Registers the index; kicks an immediate single-flight
     flush when [bytes] exceeds the threshold.  Never suspends. *)
 
-val sweep : t -> unit
-(** One prefiltered flush pass over every registered stripe.  Must run
-    inside a fiber. *)
-
 val drain : t -> bool
 (** Discover all indexes from the schema cells and sweep until no
     registered tree has unapplied messages (bounded).  Quiesce hook for

@@ -15,11 +15,6 @@
 let record ~table ~rid = Printf.sprintf "r/%s/%012d" table rid
 let record_prefix ~table = Printf.sprintf "r/%s/" table
 
-let rid_of_record_key key =
-  match String.rindex_opt key '/' with
-  | Some i -> int_of_string (String.sub key (i + 1) (String.length key - i - 1))
-  | None -> invalid_arg ("Keys.rid_of_record_key: " ^ key)
-
 let rid_counter ~table = "c/rid/" ^ table
 let tid_counter = "c/tid"
 let commit_manager_state ~cm_id = Printf.sprintf "m/cm/%03d" cm_id

@@ -11,7 +11,6 @@
 
 val record : table:string -> rid:int -> string
 val record_prefix : table:string -> string
-val rid_of_record_key : string -> int
 val rid_counter : table:string -> string
 val tid_counter : string
 val commit_manager_state : cm_id:int -> string

@@ -13,8 +13,6 @@ type cost_model = {
   cpu_per_statement_ns : int;  (** parse/plan overhead per SQL statement *)
 }
 
-val default_cost_model : cost_model
-
 type t
 
 val default_notify_flush_window_ns : int
@@ -104,10 +102,6 @@ val note_index_buffered : t -> index:string -> stripe:int -> bytes:int -> unit
 
 val cost : t -> cost_model
 
-val commit_manager : t -> Commit_manager.t
-(** The manager this PN currently talks to; fails over to the next one
-    when the current manager is dead (§4.4.3). *)
-
 val begin_start : t -> Commit_manager.t * Commit_manager.start_reply
 (** Start one transaction through the begin-window coalescer: concurrent
     callers on this PN within [begin_window_ns] share a single
@@ -129,18 +123,12 @@ val begin_distribution : t -> (int * int) list
     node's begins each commit manager served — the per-CM load balance
     [tell_bench] reports. *)
 
-val add_commit_manager : t -> Commit_manager.t -> unit
-(** Append a manager to this PN's routing table (elastic CM add). *)
-
 val remove_commit_manager : t -> dead:Commit_manager.t -> unit
 (** Drop a retired manager from this PN's routing table (physical
     equality).  Unlike {!replace_commit_manager} there is no successor:
     the table shrinks and subsequent begins spread over the survivors. *)
 
 val note_started_snapshot : t -> Version_set.t -> unit
-val vmax : t -> Version_set.t
-(** Snapshot of the most recently started transaction on this PN (§5.5.2). *)
-
 val alloc_rid : t -> table:string -> int
 (** Allocate a fresh record id from the table's shared counter (acquired
     in ranges, like tids). *)

@@ -17,9 +17,6 @@ type program = {
   projection : int list;  (** column positions to return; [[]] = whole tuple *)
 }
 
-val encode_program : program -> string
-val decode_program : string -> program
-
 val evaluator : program:string -> key:string -> data:string -> string option
 (** The storage-node side: decode the record cell, select the snapshot's
     visible version, apply the predicate, project.  Registered via

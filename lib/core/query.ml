@@ -200,10 +200,6 @@ let index_scan txn ~table ~index ~lo ~hi =
   in
   pull
 
-let index_scan_eq txn ~table ~index ~key =
-  let lo = Codec.encode_key key in
-  index_scan txn ~table ~index ~lo ~hi:(lo ^ "\x00")
-
 let filter pred it =
   let rec pull () =
     match it () with

@@ -31,7 +31,6 @@ type iter
 
 val next : iter -> Value.t array option
 val to_list : iter -> Value.t array list
-val iter_rows : iter -> (Value.t array -> unit) -> unit
 val of_list : Value.t array list -> iter
 
 (** {1 Operators} *)
@@ -47,7 +46,6 @@ val index_scan :
     entries whose record no longer carries the key in any version are
     garbage-collected on the fly (§5.4). *)
 
-val index_scan_eq : Txn.t -> table:string -> index:string -> key:Value.t list -> iter
 
 val filter : expr -> iter -> iter
 val project : expr list -> iter -> iter

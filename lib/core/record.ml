@@ -88,4 +88,3 @@ let decode s =
   in
   read [] pos n
 
-let approx_bytes t = String.length (encode t)

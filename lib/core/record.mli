@@ -40,4 +40,3 @@ val is_empty : t -> bool
 val remove_version : t -> version:int -> t
 val encode : t -> string
 val decode : string -> t
-val approx_bytes : t -> int

@@ -29,7 +29,6 @@ type t = {
          crash, get replaced, and get retired while this process lives *)
   lock : Sim.Mutex.t;  (* at most one recovery pass at a time (§4.4.1) *)
   mutable recovered_txns : int;
-  mutable fences_installed : int;
 }
 
 let create cluster ~cms =
@@ -42,11 +41,9 @@ let create cluster ~cms =
     cms;
     lock = Sim.Mutex.create engine;
     recovered_txns = 0;
-    fences_installed = 0;
   }
 
 let recovered_txns t = t.recovered_txns
-let fences_installed t = t.fences_installed
 
 let live_cms t = List.filter Commit_manager.alive (t.cms ())
 
@@ -104,8 +101,7 @@ let recover_processing_nodes t ~failed_pn_ids =
       | ids ->
           ignore
             (Kv.Cluster.fence_senders t.cluster
-               ~senders:(List.map (Printf.sprintf "pn%d") ids));
-          t.fences_installed <- t.fences_installed + List.length ids);
+               ~senders:(List.map (Printf.sprintf "pn%d") ids)));
       let lav = global_lav t in
       let entries = Txlog.scan t.kv ~min_tid:lav in
       let entries = List.sort (fun (a : Txlog.entry) b -> Int.compare b.tid a.tid) entries in

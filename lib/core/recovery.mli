@@ -30,9 +30,6 @@ val recover_processing_nodes : t -> failed_pn_ids:int list -> unit
 val recovered_txns : t -> int
 (** Cumulative count of transactions rolled back by this process. *)
 
-val fences_installed : t -> int
-(** Cumulative count of PN endpoints fenced by recovery passes. *)
-
 val replace_commit_manager :
   Tell_kv.Cluster.t -> dead:int -> fresh_id:int -> peers:int list -> Commit_manager.t
 (** Stand up a replacement commit manager (§4.4.3), state restored from

@@ -33,8 +33,6 @@ val make_table :
 val column_index : table -> string -> int
 (** Case-insensitive; raises {!Schema_error} when absent. *)
 
-val primary_index_name : table -> string
-
 val all_indexes : table -> index list
 (** Primary first (if the table has a primary key), then secondary. *)
 

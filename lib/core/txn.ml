@@ -30,13 +30,8 @@ type t = {
          (None = the record was absent), re-validated at commit. *)
   writes : (string, write) Hashtbl.t;
   mutable write_order : string list;  (* newest first *)
-  mutable async_reads : (string * int) list;
-      (* point reads registered by [read_async] awaiting their shared
-         batched fetch (newest first) *)
   mutable status : status;
 }
-
-type read_future = { rf_table : string; rf_rid : int }
 
 (* Observation hook for the check harness: fired once per successful
    commit, after the status flips but before the asynchronous notifier
@@ -111,7 +106,6 @@ let begin_txn ?(isolation = Snapshot_isolation) pn =
     read_tokens = Hashtbl.create 32;
     writes = Hashtbl.create 8;
     write_order = [];
-    async_reads = [];
     status = Running;
   }
 
@@ -121,7 +115,6 @@ let snapshot t = t.snapshot
 let lav t = t.lav
 let status t = t.status
 let pn t = t.pn
-let write_set_size t = Hashtbl.length t.writes
 
 let check_running t = match t.status with Running -> () | Committed | Aborted -> raise Finished
 
@@ -236,28 +229,6 @@ let read_batch t ~table ~rids =
   List.filter_map
     (fun rid -> Option.map (fun tuple -> (rid, tuple)) (resolve_cached t ~table ~rid))
     rids
-
-let read_async t ~table ~rid =
-  check_running t;
-  let key = Keys.record ~table ~rid in
-  if not (Hashtbl.mem t.writes key || Hashtbl.mem t.cache key) then
-    t.async_reads <- (table, rid) :: t.async_reads;
-  { rf_table = table; rf_rid = rid }
-
-let await t fut =
-  check_running t;
-  (match t.async_reads with
-  | [] -> ()
-  | pending ->
-      (* First await flushes every registered read in one batched round:
-         clear the register before the fetch suspends so a re-entrant
-         registration is not lost. *)
-      t.async_reads <- [];
-      let t0 = Tell_sim.Engine.now (Pn.engine t.pn) in
-      let fetched = fetch_many t (List.rev pending) in
-      note_read_phase t ~fetched t0);
-  Pn.charge t.pn ((Pn.cost t.pn).cpu_per_read_ns / 4);
-  resolve_cached t ~table:fut.rf_table ~rid:fut.rf_rid
 
 let pending_rows t ~table =
   Hashtbl.fold
@@ -403,15 +374,6 @@ let index_range t ~index ~lo ~hi =
 
 let index_lookup t ~index ~key =
   List.map snd (index_range t ~index ~lo:key ~hi:(key ^ "\x00"))
-
-let index_read_many t ~index ~keys =
-  check_running t;
-  let shared = Btree.lookup_many (Pn.btree t.pn ~index) ~keys in
-  List.map2
-    (fun key (_, rids) ->
-      let own = List.map snd (own_index_entries t ~index ~lo:key ~hi:(key ^ "\x00")) in
-      (key, List.sort_uniq Int.compare (own @ rids)))
-    keys shared
 
 (* Fused index→record point reads — §5.1's request batching applied to
    the read side: route every key through its tree's cached inner levels

@@ -77,24 +77,6 @@ val read_by_pk_many :
   t -> table:string -> index:string -> keys:string list -> (int * Value.t array) option list
 (** {!read_by_pk_multi} over one table/index pair. *)
 
-val index_read_many : t -> index:string -> keys:string list -> (string * int list) list
-(** Batched exact-key lookups: all rids stored under each key (ascending,
-    own pending insertions merged), the leaves fetched in one batched
-    round via [Btree.lookup_many].  Results are in input order. *)
-
-type read_future
-
-val read_async : t -> table:string -> rid:int -> read_future
-(** Register a point read without fetching it.  The fetch happens on the
-    next {!await} of {e any} future of this transaction, which flushes
-    every pending registration in one batched round — so independent
-    reads issued back-to-back by one fiber land in the same client
-    batching lane instead of paying sequential round trips. *)
-
-val await : t -> read_future -> Value.t array option
-(** Resolve a registered read (flushing pending registrations first);
-    semantics per key are exactly {!read}. *)
-
 val pending_rows : t -> table:string -> (int * Value.t array) list
 (** This transaction's own buffered inserts/updates for [table] (deletes
     excluded) — merged into sequential scans. *)
@@ -142,8 +124,6 @@ val set_commit_probe : commit_probe option -> unit
 
 val abort : t -> unit
 (** Manual abort: nothing was applied, only the commit manager is told. *)
-
-val write_set_size : t -> int
 
 val unsafe_set_weaken_conflict_detection : bool -> unit
 (** Test-only mutation knob for the histcheck battery (DESIGN.md §7):

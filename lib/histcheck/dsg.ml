@@ -22,7 +22,6 @@ let add_edge t ~src ~dst ~label ~key =
 
 let nodes t = Hashtbl.fold (fun n () acc -> n :: acc) t.node_set []
 let out t n = Option.value ~default:[] (Hashtbl.find_opt t.out_edges n)
-let edges t = Hashtbl.fold (fun _ es acc -> es @ acc) t.out_edges []
 
 (* Tarjan.  Component sizes here are the handful of transactions of one
    short simulated run, so the recursive formulation is fine. *)

@@ -25,7 +25,6 @@ val add_edge : t -> src:int -> dst:int -> label:label -> key:string -> unit
 
 val nodes : t -> int list
 val out : t -> int -> edge list
-val edges : t -> edge list
 
 val sccs : t -> int list list
 (** Strongly connected components (Tarjan).  Singleton components are

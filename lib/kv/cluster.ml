@@ -80,14 +80,9 @@ type t = {
 
 let sn_endpoint i = Printf.sprintf "sn%d" i
 let mgmt_endpoint = "mgmt"
-let cm_endpoint i = Printf.sprintf "cm%d" i
 
 let register_commit_manager t ~cm_id = Hashtbl.replace t.commit_manager_ids cm_id ()
 let unregister_commit_manager t ~cm_id = Hashtbl.remove t.commit_manager_ids cm_id
-
-let commit_manager_endpoints t =
-  Hashtbl.fold (fun id () acc -> id :: acc) t.commit_manager_ids []
-  |> List.sort Int.compare |> List.map cm_endpoint
 
 (* The ownership tables the directory implies for node [i] — optionally
    computed as if node [i] had already been deposed as master of

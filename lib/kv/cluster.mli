@@ -96,11 +96,6 @@ val sn_endpoint : int -> string
 
 val mgmt_endpoint : string
 
-val cm_endpoint : int -> string
-(** The link-endpoint name of commit manager [i] ("cm<i>") — same naming
-    scheme as {!sn_endpoint}, mirrored here so the kv layer can name the
-    whole fabric without depending on the core layer. *)
-
 val register_commit_manager : t -> cm_id:int -> unit
 (** Record that a commit manager with this id serves on the cluster's
     network (called by [Commit_manager.create]; a replacement re-registers
@@ -109,10 +104,6 @@ val register_commit_manager : t -> cm_id:int -> unit
 val unregister_commit_manager : t -> cm_id:int -> unit
 (** Remove a retired manager's id from the registry
     ([Database.retire_commit_manager]). *)
-
-val commit_manager_endpoints : t -> string list
-(** Endpoint names of all registered commit managers, sorted by id — the
-    fault harness's view of the CM side of the fabric. *)
 
 val min_live_replication : t -> int
 (** The minimum, over all partitions, of the number of {e live} replicas
@@ -163,14 +154,6 @@ val rebalance_onto : t -> target:int -> int * int
 
 val migrations_done : t -> int
 (** Completed partition migrations (cutovers that flipped). *)
-
-val sync_node : ?without:int -> ?renew:bool -> t -> int -> bool
-(** One management heartbeat to a storage node: deliver its current
-    ownership tables (optionally computed as if partition [without] had
-    already left its chains) and, when [renew] (default), extend its
-    serving lease.  Returns whether the message was delivered.  The
-    failure detector calls this every period for every node; it is
-    exposed for tests.  Must run inside a fiber. *)
 
 val set_pushdown_evaluator :
   t -> (program:string -> key:Op.key -> data:string -> string option) -> unit

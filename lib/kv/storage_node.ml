@@ -211,7 +211,6 @@ let set_ownership t ~epoch ~masters ~replicas ~partition_of =
     List.iter (fun key -> drop t key) !doomed
   end
 
-let masters_partition t p = Hashtbl.mem t.masters p
 
 (* Keyed operations must be answered by the partition's current master:
    after a migration re-points a partition, a client still routing on a
@@ -488,11 +487,6 @@ let end_catchup t ~partition ~entries =
             t.fenced_rejects <- t.fenced_rejects + 1
           else install_replica t op outcome)
         q
-
-let wipe t =
-  Hashtbl.reset t.cells;
-  Hashtbl.reset t.catchup;
-  t.bytes_stored <- 0
 
 let encode_counter = encode_int
 

@@ -64,8 +64,6 @@ val set_ownership :
     see {!sender}).  Cells of partitions no longer held are pruned.
     Never called = ownership checks disabled (bare-node tests). *)
 
-val masters_partition : t -> int -> bool
-
 val crash : t -> unit
 (** Mark the node dead and kill its fibers.  Its memory content is
     considered lost (DRAM volatility). *)
@@ -167,8 +165,6 @@ val catchup_pending : t -> partition:int -> bool
 (** An open catch-up window whose copy never completed (the copying fiber
     was cancelled mid-flight).  Such a member's store is partial: a later
     migration must re-copy it rather than trust its chain membership. *)
-
-val wipe : t -> unit
 
 val encode_counter : int -> string
 (** The on-wire representation of an integer cell, as maintained by

@@ -85,7 +85,6 @@ let sleep t d =
   assert (d >= 0);
   suspend t (fun r -> schedule t ~delay:d r.resume)
 
-let yield t = sleep t 0
 
 let run t ?until () =
   let continue_run = ref true in

@@ -44,10 +44,6 @@ val sleep : t -> int -> unit
 (** [sleep t d] suspends the calling fiber for [d] nanoseconds of virtual
     time.  Must be called from within a fiber. *)
 
-val yield : t -> unit
-(** Reschedule the calling fiber at the current instant, letting other
-    ready fibers run first. *)
-
 type resume = { resume : unit -> unit; cancel : exn -> unit }
 
 val suspend : t -> (resume -> unit) -> unit

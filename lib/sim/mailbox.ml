@@ -21,5 +21,4 @@ let rec recv t =
          to it at the same virtual instant; loop until we obtain one. *)
       recv t
 
-let try_recv t = Queue.take_opt t.messages
 let length t = Queue.length t.messages

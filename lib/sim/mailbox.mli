@@ -8,5 +8,4 @@ val send : 'a t -> 'a -> unit
 val recv : 'a t -> 'a
 (** Suspends the calling fiber until a message is available. *)
 
-val try_recv : 'a t -> 'a option
 val length : 'a t -> int

@@ -13,7 +13,6 @@ let create engine ~servers label =
 
 let label t = t.label
 let servers t = t.servers
-let in_use t = t.busy
 let queue_length t = Queue.length t.waiting
 
 let release t =

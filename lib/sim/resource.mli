@@ -15,7 +15,6 @@ val use : t -> demand:int -> unit
 (** [use t ~demand] blocks the calling fiber for queueing delay plus
     [demand] ns of service. *)
 
-val in_use : t -> int
 val queue_length : t -> int
 
 val busy_time : t -> int

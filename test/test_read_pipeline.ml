@@ -62,15 +62,7 @@ let test_batched_equals_sequential () =
           let sequential = List.map (sequential_read txn) ids in
           List.iteri
             (fun i (b, s) -> check_opt_row (Printf.sprintf "row %d" i) s b)
-            (List.combine batched sequential);
-          (* Batched exact-key index lookups agree with one-at-a-time. *)
-          let keys = List.map pk [ 2; 42; 7 ] in
-          let many = Txn.index_read_many txn ~index:"pk_t" ~keys in
-          List.iter2
-            (fun key (key', rids) ->
-              Alcotest.(check string) "key echoed" key key';
-              Alcotest.(check (list int)) "rids" (Txn.index_lookup txn ~index:"pk_t" ~key) rids)
-            keys many))
+            (List.combine batched sequential)))
 
 let test_batched_sees_own_writes () =
   run_sim (fun engine ->
@@ -93,28 +85,6 @@ let test_batched_sees_own_writes () =
               Alcotest.(check int) "own update visible" 11 (Value.as_int row1.(1));
               Alcotest.(check int) "own insert visible" 90 (Value.as_int row9.(1))
           | _ -> Alcotest.fail "unexpected batched shape")))
-
-let test_async_reads_equal_sync () =
-  run_sim (fun engine ->
-      let _, pn = make_db engine in
-      setup pn [ (1, 10); (2, 20); (3, 30) ];
-      Database.with_txn pn (fun txn ->
-          let rid_of id =
-            match Txn.index_lookup txn ~index:"pk_t" ~key:(pk id) with
-            | rid :: _ -> rid
-            | [] -> Alcotest.fail "pk lookup"
-          in
-          let r1 = rid_of 1 and r2 = rid_of 2 and r3 = rid_of 3 in
-          let f1 = Txn.read_async txn ~table:"t" ~rid:r1 in
-          let f2 = Txn.read_async txn ~table:"t" ~rid:r2 in
-          let f3 = Txn.read_async txn ~table:"t" ~rid:r3 in
-          (* Awaiting any future flushes the whole registration set. *)
-          List.iter2
-            (fun fut rid ->
-              check_opt_row "async = sync"
-                (Option.map (fun row -> (rid, row)) (Txn.read txn ~table:"t" ~rid))
-                (Option.map (fun row -> (rid, row)) (Txn.await txn fut)))
-            [ f2; f1; f3 ] [ r2; r1; r3 ]))
 
 let test_batched_conflict_parity () =
   run_sim (fun engine ->
@@ -212,7 +182,7 @@ let test_batched_history_is_clean () =
 
 (* --- B+tree multi-lookup under a concurrent split ------------------------------- *)
 
-let test_lookup_many_stale_leaf_fallback () =
+let test_lookup_many_grouped_stale_leaf_fallback () =
   run_sim (fun engine ->
       let cluster =
         Kv.Cluster.create engine { Kv.Cluster.default_config with n_storage_nodes = 3 }
@@ -240,7 +210,11 @@ let test_lookup_many_stale_leaf_fallback () =
          cached leaf is still authoritative take the fast path, moved keys
          fall back to the full traversal. *)
       let ids = List.init 200 (fun i -> (i * 10) + 1) in
-      let results = Btree.lookup_many t1 ~keys:(List.map key ids) in
+      let results =
+        match Btree.lookup_many_grouped [ (t1, List.map key ids) ] with
+        | [ results ] -> results
+        | _ -> Alcotest.fail "one group expected"
+      in
       List.iter2
         (fun i (k, rids) ->
           Alcotest.(check string) "key echoed" (key i) k;
@@ -335,15 +309,14 @@ let () =
         [
           Alcotest.test_case "batched = sequential" `Quick test_batched_equals_sequential;
           Alcotest.test_case "batched sees own writes" `Quick test_batched_sees_own_writes;
-          Alcotest.test_case "async reads = sync reads" `Quick test_async_reads_equal_sync;
           Alcotest.test_case "conflict parity" `Quick test_batched_conflict_parity;
           Alcotest.test_case "serializable read tokens" `Quick test_batched_serializable_tokens;
           Alcotest.test_case "history is anomaly-free" `Quick test_batched_history_is_clean;
         ] );
       ( "btree",
         [
-          Alcotest.test_case "lookup_many stale-leaf fallback" `Quick
-            test_lookup_many_stale_leaf_fallback;
+          Alcotest.test_case "lookup_many_grouped stale leaf" `Quick
+            test_lookup_many_grouped_stale_leaf_fallback;
         ] );
       ( "begin coalescing",
         [
