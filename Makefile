@@ -21,7 +21,9 @@ test:
 # CM_current.json is written by the fig_cm smoke), and the
 # buffered-index contract holds (index-phase p99 <= 500 us with TpmC
 # within the smoke tolerance of the committed baseline — the headline
-# run writes BENCH_index_current.json).
+# run writes BENCH_index_current.json), and that same run reproduces
+# every simulated counter of BENCH_commit.json exactly (bench_compare
+# --exact: refactors move the host clock only).
 check:
 	dune build @all
 	dune runtest
@@ -34,6 +36,7 @@ check:
 	dune exec bin/bench_compare.exe -- --cm CM_current.json
 	dune exec bin/tell_bench.exe -- tell --pns 4 --rf 3 --json BENCH_index_current.json
 	dune exec bin/bench_compare.exe -- --index BENCH_commit.json BENCH_index_current.json
+	dune exec bin/bench_compare.exe -- --exact BENCH_commit.json BENCH_index_current.json
 
 examples-smoke:
 	dune exec examples/quickstart.exe

@@ -3,7 +3,8 @@
    experiment names (fig5 fig8 table3 ...) and/or "quick".
 
    A bechamel suite of micro-benchmarks on the core data structures
-   (snapshot descriptors, record codec, key codec, histogram) runs first;
+   (snapshot descriptors, record and tuple codecs, store keys, key codec,
+   histogram) runs first;
    the macro experiments then drive the full simulated cluster. *)
 
 let microbenchmarks () =
@@ -35,6 +36,19 @@ let microbenchmarks () =
            let r = Record.decode encoded in
            ignore (Record.gc r ~lav:9)))
   in
+  let tuple_codec =
+    let tuple = [| Value.Int 42; Value.Str "WAREHOUSE"; Value.Float 3.14; Value.Null |] in
+    let buf = Buffer.create 64 in
+    Test.make ~name:"codec.put_tuple+read_tuple"
+      (Staged.stage (fun () ->
+           Buffer.clear buf;
+           Codec.put_tuple buf tuple;
+           ignore (Codec.read_tuple (Codec.cursor (Buffer.contents buf)))))
+  in
+  let store_key =
+    Test.make ~name:"keys.record"
+      (Staged.stage (fun () -> ignore (Keys.record ~table:"order_line" ~rid:1_234_567)))
+  in
   let key_codec =
     Test.make ~name:"codec.encode_key"
       (Staged.stage (fun () ->
@@ -46,7 +60,8 @@ let microbenchmarks () =
       (Staged.stage (fun () -> Tell_sim.Stats.Histogram.add h 123_456))
   in
   let tests =
-    Test.make_grouped ~name:"core" [ snapshot; vs_add; record; key_codec; histogram ]
+    Test.make_grouped ~name:"core"
+      [ snapshot; vs_add; record; tuple_codec; store_key; key_codec; histogram ]
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
   let instances = [ Toolkit.Instance.monotonic_clock ] in

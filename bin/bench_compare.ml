@@ -5,6 +5,7 @@
      bench_compare --elastic ELASTIC.json [--recovery-window-ms MS]
      bench_compare --cm CM.json [--cm-scaling X] [--abort-tolerance PP]
      bench_compare --index BASELINE.json CURRENT.json [--index-p99-us US]
+     bench_compare --exact BASELINE.json CURRENT.json
 
    Fails (exit 1) when the current run's TpmC drops by more than the TpmC
    tolerance (default 15%), its requests-per-new-order rises by more than
@@ -36,7 +37,12 @@
    the current run's index commit phase — the blind stripe appends that
    replaced leaf read/CAS cycles — must keep its p99 under the bound
    (default 500 us) and TpmC must stay within the usual tolerance of
-   the baseline. *)
+   the baseline.
+
+   The --exact mode gates a refactor that must not move the simulation:
+   every simulated counter of the two runs (TpmC, commits, store
+   requests and ops, begins and begin RPCs, and each commit phase's count
+   and ops) must be equal, not merely within tolerance. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -124,6 +130,42 @@ let check_index ~baseline_path ~current_path ~p99_bound_us ~tpmc_tolerance =
   end;
   if !failed then exit 1 else print_endline "bench_compare: buffered-index contract holds"
 
+(* The exact simulated-counter gate: a change meant to move only the host
+   clock leaves every simulated counter of the same seed unchanged. *)
+let exact_fields = [ "tpmc"; "committed"; "new_order_commits"; "requests_sent"; "ops_sent"; "begins"; "begin_rpcs" ]
+let exact_phases = [ "begin"; "read"; "log"; "apply"; "index"; "notify" ]
+
+let check_exact ~baseline_path ~current_path =
+  let baseline = read_file baseline_path in
+  let current = read_file current_path in
+  let compare label b c =
+    let ok = Float.equal b c in
+    Printf.printf "%-22s %14.1f -> %14.1f  %s\n" label b c (if ok then "equal" else "DIFFERS");
+    ok
+  in
+  let top =
+    List.map
+      (fun name -> compare name (require baseline_path baseline name) (require current_path current name))
+      exact_fields
+  in
+  let phases =
+    List.concat_map
+      (fun phase ->
+        let anchor = Printf.sprintf "\"%s\":" phase in
+        List.map
+          (fun name ->
+            compare (phase ^ "." ^ name)
+              (require_after baseline_path baseline ~anchor name)
+              (require_after current_path current ~anchor name))
+          [ "count"; "ops" ])
+      exact_phases
+  in
+  if List.for_all Fun.id (top @ phases) then print_endline "bench_compare: simulated counters identical"
+  else begin
+    print_endline "FAIL: simulated counters differ";
+    exit 1
+  end
+
 (* The storage-elasticity gate (ELASTIC.json from elastic_scaling.exe). *)
 let check_elastic path ~recovery_bound_ms =
   let contents = read_file path in
@@ -202,6 +244,7 @@ let () =
   let elastic_path = ref None in
   let cm_path = ref None in
   let index_mode = ref false in
+  let exact_mode = ref false in
   let index_p99_us = ref 500.0 in
   let tpmc_tolerance = ref 15.0 in
   let rpno_tolerance = ref 10.0 in
@@ -229,6 +272,9 @@ let () =
     | "--index" :: rest ->
         index_mode := true;
         parse rest
+    | "--exact" :: rest ->
+        exact_mode := true;
+        parse rest
     | "--index-p99-us" :: v :: rest ->
         index_p99_us := float_of_string v;
         parse rest
@@ -253,6 +299,12 @@ let () =
   | None, Some path ->
       check_cm path ~scaling_bound:!cm_scaling
         ~abort_bound_pp:(Option.value ~default:1.0 !abort_tolerance)
+  | None, None when !exact_mode -> (
+      match (!baseline_path, !current_path) with
+      | Some baseline_path, Some current_path -> check_exact ~baseline_path ~current_path
+      | _ ->
+          prerr_endline "usage: bench_compare --exact BASELINE.json CURRENT.json";
+          exit 2)
   | None, None when !index_mode -> (
       match (!baseline_path, !current_path) with
       | Some baseline_path, Some current_path ->
@@ -305,5 +357,7 @@ let () =
         "usage: bench_compare BASELINE.json CURRENT.json [--tpmc-tolerance PCT] \
          [--rpno-tolerance PCT] [--abort-tolerance PP]\n\
         \       bench_compare --elastic ELASTIC.json [--recovery-window-ms MS]\n\
-        \       bench_compare --cm CM.json [--cm-scaling X] [--abort-tolerance PP]";
+        \       bench_compare --cm CM.json [--cm-scaling X] [--abort-tolerance PP]\n\
+        \       bench_compare --index BASELINE.json CURRENT.json [--index-p99-us US]\n\
+        \       bench_compare --exact BASELINE.json CURRENT.json";
       exit 2)

@@ -59,6 +59,7 @@ let print_detail (detail : Scenarios.tell_detail) outcome =
   if detail.d_stale_bounces > 0 then
     Printf.printf "  stale-master bounces absorbed: %d (directory refresh + retry)\n"
       detail.d_stale_bounces;
+  Printf.printf "  SBVS unit-cell give-ups: %d\n" detail.d_unit_cell_give_ups;
   match requests_per_new_order detail outcome with
   | Some per_no -> Printf.printf "  store requests per new-order: %.1f\n" per_no
   | None -> ()
@@ -85,6 +86,7 @@ let json_of_run c (detail : Scenarios.tell_detail) outcome =
     (String.concat ", "
        (List.map (fun (cm, n) -> Printf.sprintf "\"cm%d\": %d" cm n) detail.d_begin_dist));
   Printf.bprintf buf "  \"stale_master_bounces\": %d,\n" detail.d_stale_bounces;
+  Printf.bprintf buf "  \"unit_cell_give_ups\": %d,\n" detail.d_unit_cell_give_ups;
   (match requests_per_new_order detail outcome with
   | Some per_no -> Printf.bprintf buf "  \"requests_per_new_order\": %.2f,\n" per_no
   | None -> ());

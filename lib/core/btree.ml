@@ -57,10 +57,10 @@ let put_entry buf (key, rid) =
   Codec.put_string buf key;
   Codec.put_int buf rid
 
-let get_entry s pos =
-  let key, pos = Codec.get_string s pos in
-  let rid, pos = Codec.get_int s pos in
-  ((key, rid), pos)
+let read_entry c =
+  let key = Codec.read_string c in
+  let rid = Codec.read_int c in
+  (key, rid)
 
 let put_opt_entry buf = function
   | None -> Buffer.add_char buf '\x00'
@@ -68,18 +68,17 @@ let put_opt_entry buf = function
       Buffer.add_char buf '\x01';
       put_entry buf e
 
-let get_opt_entry s pos =
-  match s.[pos] with
-  | '\x00' -> (None, pos + 1)
-  | _ -> (
-      let e, pos = get_entry s (pos + 1) in
-      (Some e, pos))
+let read_opt_entry c =
+  match Codec.read_char c with
+  | '\x00' -> None
+  | '\x01' -> Some (read_entry c)
+  | ch -> invalid_arg (Printf.sprintf "Btree: bad high-key tag %C" ch)
 
 let put_opt_int buf = function None -> Codec.put_int buf (-1) | Some v -> Codec.put_int buf v
 
-let get_opt_int s pos =
-  let v, pos = Codec.get_int s pos in
-  ((if v < 0 then None else Some v), pos)
+let read_opt_int c =
+  let v = Codec.read_int c in
+  if v < 0 then None else Some v
 
 let encode_node node =
   let buf = Buffer.create 256 in
@@ -101,37 +100,18 @@ let encode_node node =
   Buffer.contents buf
 
 let decode_node s =
-  let tag = s.[0] in
-  let high_key, pos = get_opt_entry s 1 in
-  let next, pos = get_opt_int s pos in
-  let n, pos = Codec.get_int s pos in
-  match tag with
-  | 'L' ->
-      let pos = ref pos in
-      let entries =
-        Array.init n (fun _ ->
-            let e, p = get_entry s !pos in
-            pos := p;
-            e)
-      in
-      Leaf { entries; high_key; next }
-  | 'I' ->
-      let pos = ref pos in
-      let seps =
-        Array.init n (fun _ ->
-            let e, p = get_entry s !pos in
-            pos := p;
-            e)
-      in
-      let children =
-        Array.init (n + 1) (fun _ ->
-            let c, p = Codec.get_int s !pos in
-            pos := p;
-            c)
-      in
-      let level, _ = Codec.get_int s !pos in
-      Inner { seps; children; high_key; next; level }
-  | c -> invalid_arg (Printf.sprintf "Btree.decode_node: bad tag %C" c)
+  let c = Codec.cursor s in
+  let tag = Codec.read_char c in
+  if tag <> 'L' && tag <> 'I' then invalid_arg (Printf.sprintf "Btree.decode_node: bad tag %C" tag);
+  let high_key = read_opt_entry c in
+  let next = read_opt_int c in
+  let entries = Array.init (Codec.read_count c) (fun _ -> read_entry c) in
+  if tag = 'L' then Leaf { entries; high_key; next }
+  else begin
+    let children = Array.init (Array.length entries + 1) (fun _ -> Codec.read_int c) in
+    let level = Codec.read_int c in
+    Inner { seps = entries; children; high_key; next; level }
+  end
 
 (* --- store access ----------------------------------------------------------- *)
 
@@ -183,13 +163,15 @@ let drop_node t id =
   ignore (Kv.Client.remove_if t.kv (node_key t id) None);
   unstash_orphan t id
 
+let decode_root data = Codec.read_int (Codec.cursor data)
+
 let root_id t =
   match t.cached_root with
   | Some id -> id
   | None -> (
       match Kv.Client.get t.kv (root_key t) with
       | Some (data, _) ->
-          let id, _ = Codec.get_int data 0 in
+          let id = decode_root data in
           t.cached_root <- Some id;
           id
       | None -> invalid_arg (Printf.sprintf "Btree %s: not initialised" t.name))
@@ -208,12 +190,8 @@ let encode_stripe_meta bounds =
   Buffer.contents buf
 
 let decode_stripe_meta data =
-  let n, pos = Codec.get_int data 0 in
-  let pos = ref pos in
-  Array.init n (fun _ ->
-      let s, p = Codec.get_string data !pos in
-      pos := p;
-      s)
+  let c = Codec.cursor data in
+  Array.init (Codec.read_count c) (fun _ -> Codec.read_string c)
 
 let create kv ~name =
   let t =
@@ -461,7 +439,7 @@ let rec insert_sep t ~attempts ~child_level ~sep ~right_id path =
       with_orphan_guard t new_root @@ fun () ->
       (match Kv.Client.get t.kv (root_key t) with
       | Some (data, token) ->
-          let current, _ = Codec.get_int data 0 in
+          let current = decode_root data in
           if current <> old_root then begin
             (* Someone else already grew the tree: retry from scratch. *)
             drop_node t new_root;
@@ -679,33 +657,35 @@ let encode_msg buf op =
   Codec.put_string buf key;
   Codec.put_int buf rid
 
+(* A stripe cell: an optional watermark ('W', applied count, apply time)
+   followed by the appended messages.  A cell with no watermark has
+   applied nothing. *)
+let encode_stripe { applied; applied_at; msgs } =
+  let buf = Buffer.create 256 in
+  if applied <> 0 || applied_at <> 0 then encode_watermark buf ~applied ~applied_at;
+  List.iter (encode_msg buf) msgs;
+  Buffer.contents buf
+
+let read_msg c =
+  let tag = Codec.read_char c in
+  let key = Codec.read_string c in
+  let rid = Codec.read_int c in
+  match tag with
+  | 'A' -> Add (key, rid)
+  | 'D' -> Del (key, rid)
+  | ch -> invalid_arg (Printf.sprintf "Btree.decode_stripe: bad tag %C" ch)
+
 let decode_stripe data =
-  let len = String.length data in
-  if len = 0 then { applied = 0; applied_at = 0; msgs = [] }
-  else begin
-    let applied, applied_at, pos =
-      if data.[0] = 'W' then
-        let applied, pos = Codec.get_int data 1 in
-        let applied_at, pos = Codec.get_int data pos in
-        (applied, applied_at, pos)
-      else (0, 0, 0)
-    in
-    let msgs = ref [] in
-    let pos = ref pos in
-    while !pos < len do
-      let tag = data.[!pos] in
-      let key, p = Codec.get_string data (!pos + 1) in
-      let rid, p = Codec.get_int data p in
-      pos := p;
-      msgs :=
-        (match tag with
-        | 'A' -> Add (key, rid)
-        | 'D' -> Del (key, rid)
-        | c -> invalid_arg (Printf.sprintf "Btree.decode_stripe: bad tag %C" c))
-        :: !msgs
-    done;
-    { applied; applied_at; msgs = List.rev !msgs }
-  end
+  let c = Codec.cursor data in
+  let watermarked = data <> "" && data.[0] = 'W' in
+  if watermarked then ignore (Codec.read_char c);
+  let applied = if watermarked then Codec.read_int c else 0 in
+  let applied_at = if watermarked then Codec.read_int c else 0 in
+  let msgs = ref [] in
+  while not (Codec.at_end c) do
+    msgs := read_msg c :: !msgs
+  done;
+  { applied; applied_at; msgs = List.rev !msgs }
 
 let stripe_bounds t =
   match t.stripe_cache with
@@ -1252,14 +1232,15 @@ let rec flush_stripe_aux t ~stripe ~attempts =
             match kept with
             | [] -> ""
             | _ ->
-                let buf = Buffer.create (String.length data) in
                 (* Everything kept is applied now; stamp the watermark
                    with the NEWEST apply time so no message's grace
                    period is ever cut short. *)
-                encode_watermark buf ~applied:(List.length kept)
-                  ~applied_at:(if pending <> [] then now else st.applied_at);
-                List.iter (encode_msg buf) kept;
-                Buffer.contents buf
+                encode_stripe
+                  {
+                    applied = List.length kept;
+                    applied_at = (if pending <> [] then now else st.applied_at);
+                    msgs = kept;
+                  }
           in
           match Kv.Client.put_if t.kv (buffer_key t stripe) (Some token) data' with
           | `Ok _ -> List.length pending
@@ -1410,11 +1391,7 @@ let bulk_cells ~name ~entries =
         in
         (build_inner ~level:1 leaves, bounds)
   in
-  let root_cell =
-    let buf = Stdlib.Buffer.create 8 in
-    Codec.put_int buf root;
-    (Keys.index_root ~index:name, Stdlib.Buffer.contents buf)
-  in
+  let root_cell = (Keys.index_root ~index:name, encode_root root) in
   let counter_cell =
     (Keys.index_node_counter ~index:name, Tell_kv.Storage_node.encode_counter !next_id)
   in

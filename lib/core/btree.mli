@@ -143,3 +143,30 @@ val debug_make_orphan : t -> key:string -> rid:int -> int
     returns its node id.  Test hook for the reclamation path. *)
 
 val debug_node_exists : t -> int -> bool
+
+(** {2 Cell codecs} *)
+
+type node =
+  | Leaf of { entries : (string * int) array; high_key : (string * int) option; next : int option }
+  | Inner of {
+      seps : (string * int) array;
+      children : int array;
+      high_key : (string * int) option;
+      next : int option;
+      level : int;
+    }
+
+val encode_node : node -> string
+
+val decode_node : string -> node
+(** Raises [Invalid_argument] on truncated input or a bad tag. *)
+
+type stripe_state = { applied : int; applied_at : int; msgs : batch_op list }
+(** A Bε stripe cell: the first [applied] messages are already in the
+    leaves, applied at virtual time [applied_at]. *)
+
+val encode_stripe : stripe_state -> string
+(** The watermark is written unless [applied] and [applied_at] are both 0. *)
+
+val decode_stripe : string -> stripe_state
+(** Raises [Invalid_argument] on a truncated message or a bad tag. *)

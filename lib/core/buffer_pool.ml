@@ -26,6 +26,7 @@ type pool = {
   mutable hits : int;
   mutable misses : int;
   mutable extra_requests : int;
+  mutable unit_cell_give_ups : int;  (* SBVS unit-cell grows that ran out of LL/SC attempts *)
 }
 
 let create kv strategy ~vmax =
@@ -40,12 +41,14 @@ let create kv strategy ~vmax =
     hits = 0;
     misses = 0;
     extra_requests = 0;
+    unit_cell_give_ups = 0;
   }
 
 let strategy t = t.strategy
 let hits t = t.hits
 let misses t = t.misses
 let extra_requests t = t.extra_requests
+let unit_cell_give_ups t = t.unit_cell_give_ups
 
 let capacity_of = function
   | Transaction_buffer -> 0
@@ -345,7 +348,7 @@ let read_many t ~snapshot pairs =
 (* Grow the unit cell with an LL/SC union loop so that it never shrinks:
    monotonicity is what makes the [B' = B] fast path above sound. *)
 let rec grow_unit_cell t ~cell_key ~tid ~attempts =
-  if attempts <= 0 then ()
+  if attempts <= 0 then t.unit_cell_give_ups <- t.unit_cell_give_ups + 1
   else begin
     t.extra_requests <- t.extra_requests + 1;
     match Kv.Client.get t.kv cell_key with

@@ -54,3 +54,8 @@ val hits : pool -> int
 val misses : pool -> int
 val extra_requests : pool -> int
 (** Version-set cell traffic of {!Shared_vs_buffer}. *)
+
+val unit_cell_give_ups : pool -> int
+(** {!note_applied} calls under {!Shared_vs_buffer} whose unit-cell grow
+    lost all 8 of its LL/SC attempts to concurrent writers and gave up,
+    leaving the store's cell without the writer's tid. *)

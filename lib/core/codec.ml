@@ -6,26 +6,11 @@
    - order-preserving encoding for index keys, where byte-wise
      lexicographic order must equal {!Value.compare} order. *)
 
-let put_int64 buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  Buffer.add_bytes buf b
-
-let get_int64 s pos = (String.get_int64_le s pos, pos + 8)
-
-let put_int buf v = put_int64 buf (Int64.of_int v)
-
-let get_int s pos =
-  let v, pos = get_int64 s pos in
-  (Int64.to_int v, pos)
+let put_int buf v = Buffer.add_int64_le buf (Int64.of_int v)
 
 let put_string buf s =
   put_int buf (String.length s);
   Buffer.add_string buf s
-
-let get_string s pos =
-  let len, pos = get_int s pos in
-  (String.sub s pos len, pos + len)
 
 let put_value buf (v : Value.t) =
   match v with
@@ -37,41 +22,72 @@ let put_value buf (v : Value.t) =
       (* Raw IEEE-754 bits: converting through a 63-bit OCaml int would
          corrupt the sign of values with the 2^62 bit set. *)
       Buffer.add_char buf '\x02';
-      put_int64 buf (Int64.bits_of_float f)
+      Buffer.add_int64_le buf (Int64.bits_of_float f)
   | Str s ->
       Buffer.add_char buf '\x03';
       put_string buf s
 
-let get_value s pos : Value.t * int =
-  match s.[pos] with
-  | '\x00' -> (Null, pos + 1)
-  | '\x01' ->
-      let i, pos = get_int s (pos + 1) in
-      (Int i, pos)
-  | '\x02' ->
-      let bits, pos = get_int64 s (pos + 1) in
-      (Float (Int64.float_of_bits bits), pos)
-  | '\x03' ->
-      let str, pos = get_string s (pos + 1) in
-      (Str str, pos)
-  | c -> invalid_arg (Printf.sprintf "Codec.get_value: bad tag %C" c)
-
-let encode_tuple (tuple : Value.t array) =
-  let buf = Buffer.create 64 in
+let put_tuple buf (tuple : Value.t array) =
   put_int buf (Array.length tuple);
-  Array.iter (put_value buf) tuple;
-  Buffer.contents buf
+  for i = 0 to Array.length tuple - 1 do
+    put_value buf tuple.(i)
+  done
 
-let decode_tuple s pos : Value.t array * int =
-  let n, pos = get_int s pos in
+(* {1 Cursor reader}
+
+   Every decoder reads through one mutable cursor instead of threading
+   [(value, next_pos)] pairs, so reading an integer allocates nothing.
+   Reads are bounds-checked: truncated input and bad tags raise
+   [Invalid_argument]. *)
+
+type cursor = { src : string; mutable pos : int }
+
+let cursor src = { src; pos = 0 }
+
+let at_end c = c.pos >= String.length c.src
+
+let read_char c =
+  let ch = c.src.[c.pos] in
+  c.pos <- c.pos + 1;
+  ch
+
+let read_int c =
+  let v = Int64.to_int (String.get_int64_le c.src c.pos) in
+  c.pos <- c.pos + 8;
+  v
+
+(* A length or element count: non-negative and no larger than the bytes
+   left, since every counted element takes at least one byte. *)
+let read_count c =
+  let n = read_int c in
+  if n < 0 || n > String.length c.src - c.pos then
+    invalid_arg (Printf.sprintf "Codec.read_count: bad count %d at %d" n c.pos);
+  n
+
+let read_string c =
+  let len = read_count c in
+  let s = String.sub c.src c.pos len in
+  c.pos <- c.pos + len;
+  s
+
+let read_value c : Value.t =
+  match read_char c with
+  | '\x00' -> Null
+  | '\x01' -> Int (read_int c)
+  | '\x02' ->
+      let bits = String.get_int64_le c.src c.pos in
+      c.pos <- c.pos + 8;
+      Float (Int64.float_of_bits bits)
+  | '\x03' -> Str (read_string c)
+  | ch -> invalid_arg (Printf.sprintf "Codec.read_value: bad tag %C" ch)
+
+let read_tuple c =
+  let n = read_count c in
   let tuple = Array.make n Value.Null in
-  let pos = ref pos in
   for i = 0 to n - 1 do
-    let v, next = get_value s !pos in
-    tuple.(i) <- v;
-    pos := next
+    tuple.(i) <- read_value c
   done;
-  (tuple, !pos)
+  tuple
 
 (* {1 Order-preserving key encoding}
 
@@ -89,10 +105,7 @@ let decode_tuple s pos : Value.t array * int =
    with "\x00\x00" so that prefixes sort first and embedded zero bytes
    stay ordered. *)
 
-let add_be_int64 buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_be b 0 v;
-  Buffer.add_bytes buf b
+let add_be_int64 buf v = Buffer.add_int64_be buf v
 
 let add_key_int buf i =
   add_be_int64 buf (Int64.logxor (Int64.of_int i) Int64.min_int)

@@ -276,30 +276,32 @@ let retire_stale_range t =
 
 (* --- state publication and merge (§4.2) ----------------------------------- *)
 
-let encode_state t =
+(* Published state cell: the decided base, the decided tids above it with
+   their commit flags, and the local lav. *)
+let encode_state ~base ~decided ~lav =
   let buf = Buffer.create 256 in
-  Codec.put_int buf t.decided_base;
-  Codec.put_int buf (Hashtbl.length t.decided);
-  Hashtbl.iter
-    (fun tid committed ->
+  Codec.put_int buf base;
+  Codec.put_int buf (List.length decided);
+  List.iter
+    (fun (tid, committed) ->
       Codec.put_int buf tid;
       Buffer.add_char buf (if committed then '\x01' else '\x00'))
-    t.decided;
-  Codec.put_int buf (local_lav t);
+    decided;
+  Codec.put_int buf lav;
   Buffer.contents buf
 
 let decode_state s =
-  let base, pos = Codec.get_int s 0 in
-  let n, pos = Codec.get_int s pos in
-  let pos = ref pos in
+  let c = Codec.cursor s in
+  let base = Codec.read_int c in
   let decided =
-    List.init n (fun _ ->
-        let tid, p = Codec.get_int s !pos in
-        let committed = s.[p] = '\x01' in
-        pos := p + 1;
-        (tid, committed))
+    List.init (Codec.read_count c) (fun _ ->
+        let tid = Codec.read_int c in
+        match Codec.read_char c with
+        | '\x00' -> (tid, false)
+        | '\x01' -> (tid, true)
+        | ch -> invalid_arg (Printf.sprintf "Commit_manager.decode_state: bad flag %C" ch))
   in
-  let lav, _ = Codec.get_int s !pos in
+  let lav = Codec.read_int c in
   (base, decided, lav)
 
 let merge_peer_state t ~peer ~state =
@@ -329,7 +331,11 @@ let merge_peer_state t ~peer ~state =
          (Version_set.of_base peer_base) decided)
   end
 
-let publish_state t = Kv.Client.put t.kv (Keys.commit_manager_state ~cm_id:t.id) (encode_state t)
+let publish_state t =
+  (* In [Hashtbl.iter] order: fold visits the same order, consing reverses it. *)
+  let decided = List.rev (Hashtbl.fold (fun tid committed acc -> (tid, committed) :: acc) t.decided []) in
+  Kv.Client.put t.kv (Keys.commit_manager_state ~cm_id:t.id)
+    (encode_state ~base:t.decided_base ~decided ~lav:(local_lav t))
 
 let pull_peer_states ?only t =
   match (match only with Some peers -> peers | None -> t.peers) with

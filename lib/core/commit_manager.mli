@@ -159,3 +159,15 @@ val unsafe_set_merge_mutant : merge_mutant option -> unit
 (** Global knob for the [--mutation] battery: install (or clear) a
     weakened-merge mutant.  Never used outside tests; the fault harness
     resets it in a [Fun.protect] finalizer. *)
+
+(**/**)
+
+(** Test hooks: the published-state cell codec. *)
+
+val encode_state : base:int -> decided:(int * bool) list -> lav:int -> string
+(** The cell a manager publishes: its decided base, the decided tids
+    above it with their commit flags, and its local lav. *)
+
+val decode_state : string -> int * (int * bool) list * int
+(** Inverse of {!encode_state}: [(base, decided, lav)].  Raises
+    [Invalid_argument] on truncated input or a bad flag byte. *)

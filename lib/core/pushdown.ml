@@ -43,30 +43,21 @@ let rec encode_expr buf (e : Query.expr) =
       Codec.put_string buf pattern;
       encode_expr buf e
 
-let rec decode_expr s pos : Query.expr * int =
-  match s.[pos] with
-  | 'C' ->
-      let i, pos = Codec.get_int s (pos + 1) in
-      (Query.Col i, pos)
-  | 'L' ->
-      let v, pos = Codec.get_value s (pos + 1) in
-      (Query.Lit v, pos)
+let rec decode_expr c : Query.expr =
+  match Codec.read_char c with
+  | 'C' -> Query.Col (Codec.read_int c)
+  | 'L' -> Query.Lit (Codec.read_value c)
   | 'B' ->
-      let op = binop_of_tag s.[pos + 1] in
-      let a, pos = decode_expr s (pos + 2) in
-      let b, pos = decode_expr s pos in
-      (Query.Binop (op, a, b), pos)
-  | 'N' ->
-      let e, pos = decode_expr s (pos + 1) in
-      (Query.Not e, pos)
-  | 'U' ->
-      let e, pos = decode_expr s (pos + 1) in
-      (Query.Is_null e, pos)
+      let op = binop_of_tag (Codec.read_char c) in
+      let a = decode_expr c in
+      let b = decode_expr c in
+      Query.Binop (op, a, b)
+  | 'N' -> Query.Not (decode_expr c)
+  | 'U' -> Query.Is_null (decode_expr c)
   | 'K' ->
-      let pattern, pos = Codec.get_string s (pos + 1) in
-      let e, pos = decode_expr s pos in
-      (Query.Like (e, pattern), pos)
-  | c -> invalid_arg (Printf.sprintf "Pushdown: bad expr tag %C" c)
+      let pattern = Codec.read_string c in
+      Query.Like (decode_expr c, pattern)
+  | ch -> invalid_arg (Printf.sprintf "Pushdown: bad expr tag %C" ch)
 
 (* --- program codec ---------------------------------------------------------------- *)
 
@@ -83,23 +74,15 @@ let encode_program p =
   Buffer.contents buf
 
 let decode_program s =
-  let vs, pos = Codec.get_string s 0 in
-  let snapshot = Version_set.decode vs in
-  let predicate, pos =
-    match s.[pos] with
-    | '\x00' -> (None, pos + 1)
-    | _ ->
-        let e, pos = decode_expr s (pos + 1) in
-        (Some e, pos)
+  let c = Codec.cursor s in
+  let snapshot = Version_set.decode (Codec.read_string c) in
+  let predicate =
+    match Codec.read_char c with
+    | '\x00' -> None
+    | '\x01' -> Some (decode_expr c)
+    | ch -> invalid_arg (Printf.sprintf "Pushdown: bad predicate tag %C" ch)
   in
-  let n, pos = Codec.get_int s pos in
-  let pos = ref pos in
-  let projection =
-    List.init n (fun _ ->
-        let c, p = Codec.get_int s !pos in
-        pos := p;
-        c)
-  in
+  let projection = List.init (Codec.read_count c) (fun _ -> Codec.read_int c) in
   { snapshot; predicate; projection }
 
 (* --- storage-node side -------------------------------------------------------------- *)
@@ -115,7 +98,12 @@ let evaluator ~program ~key:_ ~data =
   match Record.latest_visible record ~visible:(Version_set.mem p.snapshot) with
   | Some { payload = Record.Tuple tuple; _ } ->
       let keep = match p.predicate with None -> true | Some e -> Query.eval_bool tuple e in
-      if keep then Some (Codec.encode_tuple (apply_projection p.projection tuple)) else None
+      if keep then begin
+        let buf = Buffer.create 64 in
+        Codec.put_tuple buf (apply_projection p.projection tuple);
+        Some (Buffer.contents buf)
+      end
+      else None
   | Some { payload = Record.Tombstone; _ } | None -> None
 
 (* --- processing-node side ------------------------------------------------------------- *)
@@ -130,7 +118,7 @@ let scan txn ~table ?predicate ?(projection = []) () =
       ~prefix:(Keys.record_prefix ~table) ~program
   in
   let remote_rows =
-    List.map (fun (_, data, _) -> fst (Codec.decode_tuple data 0)) stored
+    List.map (fun (_, data, _) -> Codec.read_tuple (Codec.cursor data)) stored
   in
   (* The transaction's own pending rows never reached the store: apply the
      same selection/projection locally. *)

@@ -33,4 +33,5 @@ val scan :
 (** {1 Expression codec} (exposed for tests) *)
 
 val encode_expr : Buffer.t -> Query.expr -> unit
-val decode_expr : string -> int -> Query.expr * int
+val decode_expr : Codec.cursor -> Query.expr
+(** Reads one expression at the cursor and advances past it. *)

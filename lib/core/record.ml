@@ -68,23 +68,24 @@ let encode t =
       | Tombstone -> Buffer.add_char buf '\x00'
       | Tuple tuple ->
           Buffer.add_char buf '\x01';
-          Buffer.add_string buf (Codec.encode_tuple tuple))
+          Codec.put_tuple buf tuple)
     t;
   Buffer.contents buf
 
 let decode s =
-  let n, pos = Codec.get_int s 0 in
-  let rec read acc pos remaining =
-    if remaining = 0 then List.rev acc
+  let c = Codec.cursor s in
+  let rec read remaining =
+    if remaining = 0 then []
     else begin
-      let version, pos = Codec.get_int s pos in
-      match s.[pos] with
-      | '\x00' -> read ({ version; payload = Tombstone } :: acc) (pos + 1) (remaining - 1)
-      | '\x01' ->
-          let tuple, pos = Codec.decode_tuple s (pos + 1) in
-          read ({ version; payload = Tuple tuple } :: acc) pos (remaining - 1)
-      | c -> invalid_arg (Printf.sprintf "Record.decode: bad payload tag %C" c)
+      let version = Codec.read_int c in
+      let payload =
+        match Codec.read_char c with
+        | '\x00' -> Tombstone
+        | '\x01' -> Tuple (Codec.read_tuple c)
+        | ch -> invalid_arg (Printf.sprintf "Record.decode: bad payload tag %C" ch)
+      in
+      let v = { version; payload } in
+      v :: read (remaining - 1)
     end
   in
-  read [] pos n
-
+  read (Codec.read_count c)

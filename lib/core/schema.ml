@@ -94,38 +94,31 @@ let encode_table t =
   Buffer.contents buf
 
 let decode_table s =
-  let tbl_name, pos = Codec.get_string s 0 in
-  let n_cols, pos = Codec.get_int s pos in
-  let pos = ref pos in
+  let c = Codec.cursor s in
+  let tbl_name = Codec.read_string c in
   let columns =
-    Array.init n_cols (fun _ ->
-        let name, p = Codec.get_string s !pos in
-        let ty =
-          match s.[p] with
+    Array.init (Codec.read_count c) (fun _ ->
+        let col_name = Codec.read_string c in
+        let col_type =
+          match Codec.read_char c with
           | 'i' -> Value.T_int
           | 'f' -> Value.T_float
           | 's' -> Value.T_str
-          | c -> raise (Schema_error (Printf.sprintf "bad column type tag %C" c))
+          | ch -> invalid_arg (Printf.sprintf "Schema.decode_table: bad column type tag %C" ch)
         in
-        pos := p + 1;
-        { col_name = name; col_type = ty })
+        { col_name; col_type })
   in
-  let read_int_list () =
-    let n, p = Codec.get_int s !pos in
-    pos := p;
-    List.init n (fun _ ->
-        let v, p = Codec.get_int s !pos in
-        pos := p;
-        v)
-  in
+  let read_int_list () = List.init (Codec.read_count c) (fun _ -> Codec.read_int c) in
   let primary_key = read_int_list () in
-  let n_sec, p = Codec.get_int s !pos in
-  pos := p;
   let secondary =
-    List.init n_sec (fun _ ->
-        let idx_name, p = Codec.get_string s !pos in
-        let idx_unique = s.[p] = 'u' in
-        pos := p + 1;
+    List.init (Codec.read_count c) (fun _ ->
+        let idx_name = Codec.read_string c in
+        let idx_unique =
+          match Codec.read_char c with
+          | 'u' -> true
+          | 'd' -> false
+          | ch -> invalid_arg (Printf.sprintf "Schema.decode_table: bad uniqueness tag %C" ch)
+        in
         let idx_columns = read_int_list () in
         { idx_name; idx_columns; idx_unique })
   in

@@ -30,17 +30,16 @@ let encode e =
   Buffer.contents buf
 
 let decode ~tid s =
-  let committed = s.[0] = '\x01' in
-  let pn_id, pos = Codec.get_int s 1 in
-  let timestamp, pos = Codec.get_int s pos in
-  let n, pos = Codec.get_int s pos in
-  let pos = ref pos in
-  let write_set =
-    List.init n (fun _ ->
-        let key, p = Codec.get_string s !pos in
-        pos := p;
-        key)
+  let c = Codec.cursor s in
+  let committed =
+    match Codec.read_char c with
+    | '\x00' -> false
+    | '\x01' -> true
+    | ch -> invalid_arg (Printf.sprintf "Txlog.decode: bad commit flag %C" ch)
   in
+  let pn_id = Codec.read_int c in
+  let timestamp = Codec.read_int c in
+  let write_set = List.init (Codec.read_count c) (fun _ -> Codec.read_string c) in
   { tid; pn_id; timestamp; write_set; committed }
 
 let append kv entry = Kv.Client.put kv (Keys.log_entry ~tid:entry.tid) (encode entry)

@@ -46,14 +46,11 @@ let encode t =
   Buffer.contents buf
 
 let decode s =
-  let base, pos = Codec.get_int s 0 in
-  let n, pos = Codec.get_int s pos in
+  let c = Codec.cursor s in
+  let base = Codec.read_int c in
   let above = ref ISet.empty in
-  let pos = ref pos in
-  for _ = 1 to n do
-    let v, p = Codec.get_int s !pos in
-    above := ISet.add v !above;
-    pos := p
+  for _ = 1 to Codec.read_count c do
+    above := ISet.add (Codec.read_int c) !above
   done;
   normalize { base; above = !above }
 

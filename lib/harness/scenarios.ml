@@ -76,6 +76,9 @@ type tell_detail = {
   d_stale_bounces : int;
       (** wrong-master/fenced bounces the PN clients absorbed by refreshing
           the directory and retrying (elastic migrations make these routine) *)
+  d_unit_cell_give_ups : int;
+      (** SBVS unit-cell grows that exhausted their LL/SC attempts, summed
+          over the PNs (0 under the other buffering strategies) *)
   d_begin_dist : (int * int) list;
       (** begins served per commit manager (manager id, begins), summed
           over the PNs and sorted by id — the §4.2 load spread across the
@@ -153,6 +156,8 @@ let run_tell_detailed (c : tell_config) =
       d_begin_rpcs = List.fold_left (fun a pn -> a + snd (Pn.begin_stats pn)) 0 pns;
       d_stale_bounces =
         List.fold_left (fun a pn -> a + Kv.Client.stale_master_bounces (Pn.kv pn)) 0 pns;
+      d_unit_cell_give_ups =
+        List.fold_left (fun a pn -> a + Buffer_pool.unit_cell_give_ups (Pn.pool pn)) 0 pns;
       d_begin_dist =
         (let dist = Hashtbl.create 4 in
          List.iter

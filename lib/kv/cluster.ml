@@ -78,7 +78,15 @@ type t = {
           as a zombie that acks unreplicated writes. *)
 }
 
-let sn_endpoint i = Printf.sprintf "sn%d" i
+(* "sn<i>", built once per id: every request names its endpoints.  The
+   table grows on first use of a new id, e.g. a storage node added online. *)
+let sn_names = ref [||]
+
+let sn_endpoint i =
+  if i >= Array.length !sn_names then
+    sn_names := Array.init (max (i + 1) (2 * Array.length !sn_names)) (fun j -> "sn" ^ string_of_int j);
+  !sn_names.(i)
+
 let mgmt_endpoint = "mgmt"
 
 let register_commit_manager t ~cm_id = Hashtbl.replace t.commit_manager_ids cm_id ()

@@ -3,6 +3,7 @@ type cell = { mutable data : string; mutable token : int }
 type t = {
   engine : Tell_sim.Engine.t;
   id : int;
+  label : string;  (* "sn<id>": the node's link endpoint and sender name *)
   group : Tell_sim.Engine.Group.t;
   cpu : Tell_sim.Resource.t;
   cells : (Op.key, cell) Hashtbl.t;
@@ -78,6 +79,7 @@ let create engine ~id ~cores ~capacity_bytes ~base_service_ns ~per_byte_service_
   {
     engine;
     id;
+    label;
     group = Tell_sim.Engine.make_group engine label;
     cpu = Tell_sim.Resource.create engine ~servers:cores label;
     cells = Hashtbl.create 4096;
@@ -112,7 +114,7 @@ let set_serving t flag = t.serving <- flag
 let retired t = t.retired
 let set_retired t flag = t.retired <- flag
 let group t = t.group
-let sender t = (Printf.sprintf "sn%d" t.id, t.epoch)
+let sender t = (t.label, t.epoch)
 let renew_lease t ~until = t.lease_until <- until
 
 let crash t =

@@ -87,21 +87,22 @@ let sleep t d =
 
 
 let run t ?until () =
+  let limit = match until with Some limit -> limit | None -> max_int in
   let continue_run = ref true in
   while !continue_run do
-    match Heap.peek_time t.events with
-    | None -> continue_run := false
-    | Some time -> (
-        match until with
-        | Some limit when time > limit ->
-            t.clock <- limit;
-            continue_run := false
-        | _ -> (
-            match Heap.pop t.events with
-            | None -> continue_run := false
-            | Some (time, f) ->
-                t.clock <- time;
-                f ()))
+    if Heap.is_empty t.events then continue_run := false
+    else begin
+      let time = Heap.min_time t.events in
+      if time > limit then begin
+        t.clock <- limit;
+        continue_run := false
+      end
+      else begin
+        let f = Heap.pop_exn t.events in
+        t.clock <- time;
+        f ()
+      end
+    end
   done;
   match until with Some limit when t.clock < limit -> t.clock <- limit | _ -> ()
 

@@ -67,16 +67,18 @@ let push t ~time ?(prio = 0) payload =
   t.size <- t.size + 1;
   sift_up t.data (t.size - 1)
 
-let peek_time t = if t.size = 0 then None else Some t.data.(0).time
+(* The earliest event's time, [max_int] when empty. *)
+let min_time t = if t.size = 0 then max_int else t.data.(0).time
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t.data t.size 0
-    end;
-    Some (top.time, top.payload)
-  end
+(* Remove the earliest event and return its payload; its time is
+   {!min_time} just before the call.  Raises [Invalid_argument] when
+   empty. *)
+let pop_exn t =
+  if t.size = 0 then invalid_arg "Heap.pop_exn: empty heap";
+  let top = t.data.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.data.(0) <- t.data.(t.size);
+    sift_down t.data t.size 0
+  end;
+  top.payload

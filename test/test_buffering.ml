@@ -122,6 +122,51 @@ let test_strategies_equivalent () =
   Alcotest.(check bool) "SBVS1000 consistent" true
     (final_state (Buffer_pool.Shared_vs_buffer { capacity = 10_000; unit_size = 1000 }))
 
+(* SBVS unit-cell growth never gives up silently: each [note_applied]
+   either lands its tid in the unit cell or counts a give-up.  Tids only
+   accumulate in the cell (every grow is a union), so the tids found in
+   the final cell are exactly the successful grows. *)
+let test_unit_cell_give_ups () =
+  let grow ~fibers ~calls_per_fiber =
+    run_sim (fun engine ->
+        let kv_config =
+          { Kv.Cluster.default_config with n_storage_nodes = 3; replication_factor = 1 }
+        in
+        let cluster = Kv.Cluster.create engine kv_config in
+        let kv = Kv.Client.create cluster ~group:(Sim.Engine.make_group engine "pn0") in
+        let pool =
+          Buffer_pool.create kv
+            (Buffer_pool.Shared_vs_buffer { capacity = 1_000; unit_size = 100 })
+            ~vmax:(fun () -> Version_set.empty)
+        in
+        let tids = List.init (fibers * calls_per_fiber) (fun i -> 1_000 + i) in
+        let pending = ref fibers in
+        let finished = Sim.Ivar.create engine in
+        for f = 0 to fibers - 1 do
+          Sim.Engine.spawn engine (fun () ->
+              for c = 0 to calls_per_fiber - 1 do
+                let rid = (f * calls_per_fiber) + c in
+                Buffer_pool.note_applied pool ~table:"t" ~rid ~record:Record.empty ~token:0
+                  ~tid:(1_000 + rid)
+              done;
+              decr pending;
+              if !pending = 0 then Sim.Ivar.fill finished ())
+        done;
+        Sim.Ivar.read finished;
+        let cell =
+          match Kv.Client.get kv (Keys.version_set ~table:"t" ~unit_id:0) with
+          | Some (data, _) -> Version_set.decode data
+          | None -> Version_set.empty
+        in
+        let grown = List.length (List.filter (Version_set.mem cell) tids) in
+        (grown, Buffer_pool.unit_cell_give_ups pool))
+  in
+  let grown, give_ups = grow ~fibers:1 ~calls_per_fiber:16 in
+  Alcotest.(check (pair int int)) "a lone writer never gives up" (16, 0) (grown, give_ups);
+  let grown, give_ups = grow ~fibers:16 ~calls_per_fiber:1 in
+  Alcotest.(check int) "give-ups + successful grows = calls" 16 (grown + give_ups);
+  Alcotest.(check bool) "16 racing writers exhaust some budgets" true (give_ups > 0)
+
 let () =
   Alcotest.run "buffering"
     [
@@ -137,6 +182,7 @@ let () =
           Alcotest.test_case "SBVS1000: remote writes visible" `Quick
             (test_remote_write_visibility
                ~buffer:(Buffer_pool.Shared_vs_buffer { capacity = 1_000; unit_size = 1000 }));
+          Alcotest.test_case "SBVS unit-cell give-ups are counted" `Quick test_unit_cell_give_ups;
           Alcotest.test_case "all strategies TPC-C-consistent" `Slow test_strategies_equivalent;
         ] );
     ]

@@ -49,7 +49,7 @@ let test_expr_codec =
         (fun e ->
           let buf = Buffer.create 32 in
           Pushdown.encode_expr buf e;
-          let decoded, _ = Pushdown.decode_expr (Buffer.contents buf) 0 in
+          let decoded = Pushdown.decode_expr (Codec.cursor (Buffer.contents buf)) in
           decoded = e)
         exprs)
 

@@ -24,7 +24,9 @@ let tuple_arb =
 
 let test_tuple_roundtrip =
   QCheck.Test.make ~name:"tuple encode/decode round trip" ~count:500 tuple_arb (fun tuple ->
-      let decoded, _ = Codec.decode_tuple (Codec.encode_tuple tuple) 0 in
+      let buf = Buffer.create 64 in
+      Codec.put_tuple buf tuple;
+      let decoded = Codec.read_tuple (Codec.cursor (Buffer.contents buf)) in
       Array.length decoded = Array.length tuple
       && Array.for_all2 Value.equal decoded tuple)
 
@@ -174,12 +176,229 @@ let test_remove_version =
            (fun u -> u = v || List.mem u (Record.version_numbers r'))
            (Record.version_numbers r))
 
+(* --- store keys ------------------------------------------------------------------ *)
+
+(* Every [Keys] constructor against the [Printf] format it replaced.  A
+   one-byte difference reroutes the key ([Directory.partition_of_key])
+   and changes every simulated number. *)
+let key_formats =
+  [
+    ("record", (fun name n -> Keys.record ~table:name ~rid:n), fun name n -> Printf.sprintf "r/%s/%012d" name n);
+    ("log_entry", (fun _ n -> Keys.log_entry ~tid:n), fun _ n -> Printf.sprintf "l/%012d" n);
+    ( "index_node",
+      (fun name n -> Keys.index_node ~index:name ~node_id:n),
+      fun name n -> Printf.sprintf "i/%s/n/%d" name n );
+    ( "index_buffer",
+      (fun name n -> Keys.index_buffer ~index:name ~stripe:n),
+      fun name n -> Printf.sprintf "i/%s/b/%03d" name n );
+    ( "version_set",
+      (fun name n -> Keys.version_set ~table:name ~unit_id:n),
+      fun name n -> Printf.sprintf "v/%s/%d" name n );
+    ( "commit_manager_state",
+      (fun _ n -> Keys.commit_manager_state ~cm_id:n),
+      fun _ n -> Printf.sprintf "m/cm/%03d" n );
+    ("record_prefix", (fun name _ -> Keys.record_prefix ~table:name), fun name _ -> Printf.sprintf "r/%s/" name);
+    ("index_root", (fun name _ -> Keys.index_root ~index:name), fun name _ -> Printf.sprintf "i/%s/root" name);
+    ( "index_buffer_meta",
+      (fun name _ -> Keys.index_buffer_meta ~index:name),
+      fun name _ -> Printf.sprintf "i/%s/bufmeta" name );
+  ]
+
+let key_mismatches name n =
+  List.filter_map
+    (fun (label, make, reference) ->
+      let got = make name n and want = reference name n in
+      if String.equal got want then None else Some (Printf.sprintf "%s %S %d: %S <> %S" label name n got want))
+    key_formats
+
+let test_keys_edge_values () =
+  let ints =
+    [ 0; 1; 9; 10; 99; 100; 999; 1000; 99_999; 1_000_000_000_000 - 1; 1_000_000_000_000; max_int; -1; -42; min_int ]
+  in
+  let names = [ ""; "t"; "order_line"; "customer_last"; "a/b" ] in
+  List.iter
+    (fun name ->
+      List.iter (fun n -> Alcotest.(check (list string)) "keys = printf" [] (key_mismatches name n)) ints)
+    names
+
+let test_keys_property =
+  QCheck.Test.make ~name:"keys equal their printf formats" ~count:1000
+    QCheck.(pair (string_gen_of_size Gen.(int_range 0 12) Gen.printable) int)
+    (fun (name, n) -> key_mismatches name n = [] && key_mismatches name (abs n) = [])
+
+(* --- cursor decoders ----------------------------------------------------------- *)
+
+let raises_invalid f = match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* Every proper prefix of [encoded] must fail to decode. *)
+let check_truncations label decode encoded =
+  for len = 0 to String.length encoded - 1 do
+    if not (raises_invalid (fun () -> decode (String.sub encoded 0 len))) then
+      Alcotest.failf "%s: %d-byte prefix of %d decoded" label len (String.length encoded)
+  done
+
+let check_bad_tag label decode encoded ~at ~tag =
+  let corrupt = Bytes.of_string encoded in
+  Bytes.set corrupt at tag;
+  if not (raises_invalid (fun () -> decode (Bytes.to_string corrupt))) then
+    Alcotest.failf "%s: bad tag %C at %d decoded" label tag at
+
+let float_bits = function Value.Float f -> Some (Int64.bits_of_float f) | _ -> None
+
+let awkward_values =
+  [
+    Value.Float Float.nan;
+    Value.Float (-0.0);
+    Value.Float (Int64.float_of_bits 0x4000_0000_0000_0001L);
+    Value.Float (Int64.float_of_bits 0xC000_0000_0000_0003L);
+    Value.Str "nul\x00inside\x00";
+    Value.Str "";
+    Value.Int max_int;
+    Value.Int min_int;
+    Value.Null;
+  ]
+
+let test_values_roundtrip () =
+  let buf = Buffer.create 64 in
+  Codec.put_tuple buf (Array.of_list awkward_values);
+  let encoded = Buffer.contents buf in
+  let c = Codec.cursor encoded in
+  let decoded = Codec.read_tuple c in
+  Alcotest.(check bool) "consumed" true (Codec.at_end c);
+  List.iteri
+    (fun i v ->
+      let d = decoded.(i) in
+      match (float_bits v, float_bits d) with
+      | Some a, Some b -> Alcotest.(check int64) "float bits" a b
+      | _ -> Alcotest.(check bool) (Value.to_string v) true (Value.equal v d))
+    awkward_values;
+  let read_tuple s = Codec.read_tuple (Codec.cursor s) in
+  check_truncations "tuple" read_tuple encoded;
+  check_bad_tag "tuple" read_tuple encoded ~at:8 ~tag:'\x09'
+
+let test_record_cursor () =
+  let r =
+    Record.of_versions
+      [
+        { version = 3; payload = Tuple (Array.of_list awkward_values) };
+        { version = 7; payload = Tombstone };
+        { version = 12; payload = Tuple [| Value.Int 1; Value.Str "x" |] };
+        { version = 0; payload = Tuple [||] };
+      ]
+  in
+  let encoded = Record.encode r in
+  let decoded = Record.decode encoded in
+  Alcotest.(check (list int)) "versions" [ 12; 7; 3; 0 ] (Record.version_numbers decoded);
+  Alcotest.(check string) "re-encodes byte for byte" encoded (Record.encode decoded);
+  Alcotest.(check bool) "tombstone kept" true
+    (List.exists (fun (v : Record.version) -> v.version = 7 && v.payload = Tombstone) (Record.versions decoded));
+  check_truncations "record" Record.decode encoded;
+  (* count (8) + version (8), then the newest version's payload tag *)
+  check_bad_tag "record" Record.decode encoded ~at:16 ~tag:'\x02'
+
+let test_btree_nodes () =
+  let leaf ~high_key ~next =
+    Btree.Leaf { entries = [| ("a", 1); ("a", 2); ("b\x00", 3) |]; high_key; next }
+  in
+  let inner ~high_key ~next =
+    Btree.Inner
+      { seps = [| ("k", 4); ("q", 9) |]; children = [| 10; 11; 12 |]; high_key; next; level = 2 }
+  in
+  List.iter
+    (fun (label, node) ->
+      let encoded = Btree.encode_node node in
+      Alcotest.(check bool) (label ^ " round trip") true (Btree.decode_node encoded = node);
+      check_truncations label Btree.decode_node encoded;
+      check_bad_tag label Btree.decode_node encoded ~at:0 ~tag:'X';
+      check_bad_tag label Btree.decode_node encoded ~at:1 ~tag:'\x07')
+    [
+      ("leaf", leaf ~high_key:None ~next:None);
+      ("leaf+link", leaf ~high_key:(Some ("m", 0)) ~next:(Some 42));
+      ("inner", inner ~high_key:None ~next:None);
+      ("inner+link", inner ~high_key:(Some ("z", 5)) ~next:(Some 7));
+    ]
+
+let test_stripe_cells () =
+  let msgs = [ Btree.Add ("k1", 1); Btree.Del ("k\x002", 2); Btree.Add ("", 3) ] in
+  List.iter
+    (fun (label, (st : Btree.stripe_state)) ->
+      let encoded = Btree.encode_stripe st in
+      Alcotest.(check bool) (label ^ " round trip") true (Btree.decode_stripe encoded = st);
+      (* A stripe may end after any whole message; cutting into the last
+         one must fail. *)
+      Alcotest.(check bool) (label ^ " truncated") true
+        (raises_invalid (fun () -> Btree.decode_stripe (String.sub encoded 0 (String.length encoded - 1))));
+      let first_msg = if st.applied <> 0 || st.applied_at <> 0 then 17 else 0 in
+      check_bad_tag label Btree.decode_stripe encoded ~at:first_msg ~tag:'Z')
+    [
+      ("plain stripe", { applied = 0; applied_at = 0; msgs });
+      ("watermarked stripe", { applied = 2; applied_at = 5_000_000; msgs });
+    ];
+  Alcotest.(check bool) "watermark cut short" true
+    (raises_invalid (fun () -> Btree.decode_stripe "W\x01\x00"))
+
+let test_log_vs_cm () =
+  let entry =
+    { Txlog.tid = 77; pn_id = 3; timestamp = 123_456; write_set = [ "r/t/000000000001"; "" ]; committed = true }
+  in
+  let encoded = Txlog.encode entry in
+  Alcotest.(check bool) "txlog round trip" true (Txlog.decode ~tid:77 encoded = entry);
+  check_truncations "txlog" (Txlog.decode ~tid:77) encoded;
+  check_bad_tag "txlog" (Txlog.decode ~tid:77) encoded ~at:0 ~tag:'\x02';
+  let vs = List.fold_left Version_set.add (Version_set.of_base 10) [ 12; 15; 40 ] in
+  let encoded = Version_set.encode vs in
+  Alcotest.(check bool) "version set round trip" true (Version_set.equal vs (Version_set.decode encoded));
+  check_truncations "version set" Version_set.decode encoded;
+  let base, decided, lav = (100, [ (103, true); (101, false); (250, true) ], 97) in
+  let encoded = Commit_manager.encode_state ~base ~decided ~lav in
+  Alcotest.(check bool) "cm state round trip" true (Commit_manager.decode_state encoded = (base, decided, lav));
+  check_truncations "cm state" Commit_manager.decode_state encoded;
+  (* base (8) + count (8) + first tid (8), then its commit flag *)
+  check_bad_tag "cm state" Commit_manager.decode_state encoded ~at:24 ~tag:'\x05'
+
+let test_schema_and_expr () =
+  let table =
+    Schema.make_table ~name:"orders"
+      ~columns:
+        [
+          { col_name = "id"; col_type = Value.T_int };
+          { col_name = "price"; col_type = Value.T_float };
+          { col_name = "note"; col_type = Value.T_str };
+        ]
+      ~primary_key:[ "id" ] ~secondary:[ ("by_note", [ "note"; "id" ], false) ]
+  in
+  let encoded = Schema.encode_table table in
+  Alcotest.(check bool) "schema round trip" true (Schema.decode_table encoded = table);
+  check_truncations "schema" Schema.decode_table encoded;
+  (* name (8 + 6) + column count (8) + "id" (8 + 2), then its type tag *)
+  check_bad_tag "schema" Schema.decode_table encoded ~at:32 ~tag:'x';
+  let expr = Query.(Binop (And, Binop (Lt, Col 1, Lit (Value.Float 2.5)), Like (Col 2, "a%"))) in
+  let buf = Buffer.create 32 in
+  Pushdown.encode_expr buf expr;
+  let encoded = Buffer.contents buf in
+  let decode s = Pushdown.decode_expr (Codec.cursor s) in
+  Alcotest.(check bool) "expr round trip" true (decode encoded = expr);
+  check_truncations "expr" decode encoded;
+  check_bad_tag "expr" decode encoded ~at:0 ~tag:'?'
+
 let () =
   Alcotest.run "record_codec"
     [
       ( "codec",
         List.map QCheck_alcotest.to_alcotest
           [ test_tuple_roundtrip; test_key_order; test_key_prefix_successor ] );
+      ( "keys",
+        [ Alcotest.test_case "edge values equal printf" `Quick test_keys_edge_values ]
+        @ List.map QCheck_alcotest.to_alcotest [ test_keys_property ] );
+      ( "cursor",
+        [
+          Alcotest.test_case "awkward values" `Quick test_values_roundtrip;
+          Alcotest.test_case "record versions and tombstone" `Quick test_record_cursor;
+          Alcotest.test_case "btree leaf and inner nodes" `Quick test_btree_nodes;
+          Alcotest.test_case "btree stripe cells" `Quick test_stripe_cells;
+          Alcotest.test_case "txlog, version set, cm state" `Quick test_log_vs_cm;
+          Alcotest.test_case "schema and push-down expr" `Quick test_schema_and_expr;
+        ] );
       ( "record",
         List.map QCheck_alcotest.to_alcotest
           [

@@ -42,9 +42,12 @@ let test_heap_property =
       let heap = Tell_sim.Heap.create () in
       List.iter (fun t -> Tell_sim.Heap.push heap ~time:t ()) times;
       let rec drain last =
-        match Tell_sim.Heap.pop heap with
-        | None -> true
-        | Some (t, ()) -> t >= last && drain t
+        if Tell_sim.Heap.is_empty heap then Tell_sim.Heap.min_time heap = max_int
+        else begin
+          let t = Tell_sim.Heap.min_time heap in
+          Tell_sim.Heap.pop_exn heap;
+          t >= last && drain t
+        end
       in
       drain min_int)
 
