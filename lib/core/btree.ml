@@ -45,6 +45,8 @@ type t = {
          operation entry, after verifying unreachability (a stash entry
          may be a false positive: the node linked, then a later step
          failed). *)
+  mutable flushing : int list;
+      (* stripes a [flush_stripe] through this handle is applying now *)
 }
 
 let name t = t.name
@@ -203,6 +205,7 @@ let create kv ~name =
       cached_root = None;
       stripe_cache = None;
       orphans = [];
+      flushing = [];
     }
   in
   (* Incrementally-built trees get a single buffer stripe; only the bulk
@@ -231,6 +234,7 @@ let attach kv ~name =
     cached_root = None;
     stripe_cache = None;
     orphans = [];
+    flushing = [];
   }
 
 let invalidate_cache t =
@@ -1250,9 +1254,20 @@ let rec flush_stripe_aux t ~stripe ~attempts =
         end
   end
 
+(* One flush per stripe at a time: a second flusher holding an older copy
+   of the cell could re-apply a message over a newer one the first had
+   already applied.  The index flusher's single flight is what prevents
+   it; this turns a violation into an error instead of a lost update. *)
 let flush_stripe t ~stripe =
-  if t.orphans <> [] then reclaim_orphans t;
-  flush_stripe_aux t ~stripe ~attempts:4
+  if List.mem stripe t.flushing then
+    invalid_arg
+      (Printf.sprintf "Btree.flush_stripe: stripe %d of %s is already being flushed" stripe t.name);
+  t.flushing <- stripe :: t.flushing;
+  Fun.protect
+    ~finally:(fun () -> t.flushing <- List.filter (fun s -> s <> stripe) t.flushing)
+    (fun () ->
+      if t.orphans <> [] then reclaim_orphans t;
+      flush_stripe_aux t ~stripe ~attempts:4)
 
 let flush_all t =
   let applied = ref 0 in

@@ -77,8 +77,10 @@ val enqueue_note : (t * int) list -> Tell_kv.Op.result list -> (t * int * int) l
 val flush_stripe : t -> stripe:int -> int
 (** Apply the stripe's pending messages to the leaves (batched), advance
     its watermark, and purge residue older than the purge grace.  Safe to
-    race with concurrent appends; must run inside a fiber.  Returns the
-    number of messages applied. *)
+    race with concurrent appends, but not with another flush of the same
+    stripe: raises [Invalid_argument] if this handle is already flushing
+    [stripe].  Must run inside a fiber.  Returns the number of messages
+    applied. *)
 
 val stripe_cell_needs_flush : string -> now:int -> bool
 (** Would {!flush_stripe} on a stripe cell holding this raw value do any

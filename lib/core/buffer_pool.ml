@@ -104,11 +104,6 @@ let decode_record t ~key ~data ~token =
       Hashtbl.replace t.decode_memo key (token, record);
       record
 
-let fetch_from_store t ~key =
-  match Kv.Client.get t.kv key with
-  | None -> None
-  | Some (data, token) -> Some (decode_record t ~key ~data ~token, token)
-
 let install t ~key ~record ~token ~validity =
   (match Hashtbl.find_opt t.entries key with
   | Some entry ->
@@ -122,88 +117,107 @@ let install t ~key ~record ~token ~validity =
       Hashtbl.replace t.entries key entry);
   maybe_evict t
 
-(* Fetch from the store and install tagged with V_max: all transactions in
-   V_max committed before this fetch, so V_max is a sound validity set. *)
-let refetch t ~key =
-  let validity = t.vmax () in
-  match fetch_from_store t ~key with
-  | None ->
-      Hashtbl.remove t.entries key;
-      None
-  | Some (record, token) ->
-      install t ~key ~record ~token ~validity;
-      Some (record, token)
+(* How one requested record gets served. *)
+type plan =
+  | Served of (Record.t * int) option
+  | Revalidate of entry * string  (* SBVS: a stale entry and its unit-cell key *)
+  | Fetch of Version_set.t option  (* tag for the fetched copy; [None]: V_max *)
 
-let read_tb t ~key =
+let hit t entry =
+  t.hits <- t.hits + 1;
+  touch t entry;
+  Served (Some (entry.record, entry.token))
+
+let miss t validity =
   t.misses <- t.misses + 1;
-  fetch_from_store t ~key
+  Fetch validity
 
-let read_sb t ~snapshot ~key =
-  match Hashtbl.find_opt t.entries key with
-  | Some entry when Version_set.subset snapshot entry.validity ->
-      t.hits <- t.hits + 1;
-      touch t entry;
-      Some (entry.record, entry.token)
-  | Some _ | None ->
-      t.misses <- t.misses + 1;
-      refetch t ~key
-
-let read_sbvs t ~snapshot ~key ~cell_key =
-  match Hashtbl.find_opt t.entries key with
-  | Some entry when Version_set.subset snapshot entry.validity ->
-      t.hits <- t.hits + 1;
-      touch t entry;
-      Some (entry.record, entry.token)
-  | Some entry ->
-      (* The cache might be outdated: fetch the unit's version-set cell
-         first; if it equals the entry's tag, no write touched the unit
-         since the record was tagged and the copy is still valid. *)
-      t.extra_requests <- t.extra_requests + 1;
-      (match Kv.Client.get t.kv cell_key with
-      | Some (cell, _) ->
-          let remote = Version_set.decode cell in
-          if Version_set.equal remote entry.validity then begin
-            t.hits <- t.hits + 1;
-            touch t entry;
-            Some (entry.record, entry.token)
-          end
-          else begin
-            t.misses <- t.misses + 1;
-            (* Order matters: the record is fetched after the cell, so a
-               copy tagged [remote] shows every write the cell accounts. *)
-            match fetch_from_store t ~key with
-            | None ->
-                Hashtbl.remove t.entries key;
-                None
-            | Some (record, token) ->
-                install t ~key ~record ~token ~validity:remote;
-                Some (record, token)
-          end
-      | None ->
-          t.misses <- t.misses + 1;
-          refetch t ~key)
-  | None ->
-      t.misses <- t.misses + 1;
-      refetch t ~key
-
-let read t ~snapshot ~table ~rid =
-  let key = Keys.record ~table ~rid in
+(* The strategy's whole say over a read.  TB fetches everything; SB
+   serves an entry whose validity covers the snapshot and fetches the
+   rest; SBVS sends a stale entry to unit-cell revalidation instead. *)
+let classify t ~snapshot ~key ~table ~rid =
   match t.strategy with
-  | Transaction_buffer -> read_tb t ~key
-  | Shared_record_buffer _ -> read_sb t ~snapshot ~key
-  | Shared_vs_buffer { unit_size; _ } ->
-      read_sbvs t ~snapshot ~key ~cell_key:(unit_key ~table ~rid ~unit_size)
+  | Transaction_buffer -> miss t None
+  | Shared_record_buffer _ | Shared_vs_buffer _ -> (
+      match (Hashtbl.find_opt t.entries key, t.strategy) with
+      | Some entry, _ when Version_set.subset snapshot entry.validity -> hit t entry
+      | Some entry, Shared_vs_buffer { unit_size; _ } ->
+          Revalidate (entry, unit_key ~table ~rid ~unit_size)
+      | (Some _ | None), _ -> miss t None)
 
-(* Batched read: one store multi-get per miss class instead of one get
-   per record, preserving each strategy's semantics exactly.  TB always
-   fetches; SB serves entries whose validity covers the snapshot and
-   refetches the rest tagged with one V_max computed before the batch
-   fetch (every transaction in it committed before any fetch, so it is a
-   sound validity for the whole batch); SBVS re-validates stale entries
-   against their unit cells — all cells in one round first, then all
-   records that still need fetching, so a record tagged with a remote
-   cell shows every write the cell accounts.  Results are in input
-   order; duplicate keys are the caller's concern (harmless here).
+(* Unit-cell round: one multi-get of the cells of every stale entry.  A
+   cell equal to the entry's tag means no write touched the unit since
+   the copy was tagged, so the copy still serves; otherwise the record is
+   refetched and tagged with the remote cell. *)
+let revalidate t plans =
+  let slots = ref [] and cells = ref [] in
+  for i = Array.length plans - 1 downto 0 do
+    match plans.(i) with
+    | Revalidate (_, cell_key) ->
+        slots := i :: !slots;
+        cells := cell_key :: !cells
+    | Served _ | Fetch _ -> ()
+  done;
+  match !cells with
+  | [] -> ()
+  | cells ->
+      t.extra_requests <- t.extra_requests + List.length cells;
+      List.iter2
+        (fun i reply ->
+          match (plans.(i), reply) with
+          | Revalidate (entry, _), Some (cell, _) ->
+              let remote = Version_set.decode cell in
+              plans.(i) <-
+                (if Version_set.equal remote entry.validity then hit t entry
+                 else miss t (Some remote))
+          | Revalidate _, None -> plans.(i) <- miss t None
+          | (Served _ | Fetch _), _ -> assert false)
+        !slots (Kv.Client.multi_get t.kv cells)
+
+(* Record round: one multi-get of every record still to fetch, after the
+   cell round, so a copy tagged with a remote cell shows every write the
+   cell accounts.  V_max is taken before the fetch: every transaction in
+   it committed before the fetch, so it is a sound tag for the whole
+   batch.  TB never installs. *)
+let fetch_records t keys plans =
+  let slots = ref [] and fetch = ref [] in
+  for i = Array.length plans - 1 downto 0 do
+    match plans.(i) with
+    | Fetch _ ->
+        slots := i :: !slots;
+        fetch := keys.(i) :: !fetch
+    | Served _ | Revalidate _ -> ()
+  done;
+  match !fetch with
+  | [] -> ()
+  | fetch ->
+      let installs =
+        match t.strategy with
+        | Transaction_buffer -> false
+        | Shared_record_buffer _ | Shared_vs_buffer _ -> true
+      in
+      let vmax = t.vmax () in
+      List.iter2
+        (fun i reply ->
+          let key = keys.(i) in
+          plans.(i) <-
+            Served
+              (match (reply, plans.(i)) with
+              | None, _ ->
+                  if installs then Hashtbl.remove t.entries key;
+                  None
+              | Some (data, token), Fetch validity ->
+                  let record = decode_record t ~key ~data ~token in
+                  if installs then
+                    install t ~key ~record ~token ~validity:(Option.value validity ~default:vmax);
+                  Some (record, token)
+              | Some _, (Served _ | Revalidate _) -> assert false))
+        !slots (Kv.Client.multi_get t.kv fetch)
+
+(* Every read is this one pipeline: classify, then the unit-cell round
+   (SBVS only), then the record round — at most one store multi-get per
+   round instead of one get per record.  Results are in input order;
+   duplicate keys are the caller's concern (harmless here).
 
    Accounting audit (§3d): everything issued here rides the pool's own
    client — the PN's — so it lands in the reading transaction's read
@@ -213,137 +227,17 @@ let read t ~snapshot ~table ~rid =
    flusher's management client and is aggregated as storage-bandwidth
    traffic there, not into any transaction's phase. *)
 let read_many t ~snapshot pairs =
-  match pairs with
-  | [] -> []
-  | _ :: _ -> (
-      let keyed = List.map (fun (table, rid) -> (Keys.record ~table ~rid, table, rid)) pairs in
-      match t.strategy with
-      | Transaction_buffer ->
-          t.misses <- t.misses + List.length keyed;
-          let replies = Kv.Client.multi_get t.kv (List.map (fun (k, _, _) -> k) keyed) in
-          List.map2
-            (fun (key, _, _) reply ->
-              Option.map (fun (data, token) -> (decode_record t ~key ~data ~token, token)) reply)
-            keyed replies
-      | Shared_record_buffer _ ->
-          let classified =
-            List.map
-              (fun (key, _, _) ->
-                match Hashtbl.find_opt t.entries key with
-                | Some entry when Version_set.subset snapshot entry.validity ->
-                    t.hits <- t.hits + 1;
-                    touch t entry;
-                    `Hit (entry.record, entry.token)
-                | Some _ | None ->
-                    t.misses <- t.misses + 1;
-                    `Fetch key)
-              keyed
-          in
-          let misses = List.filter_map (function `Fetch k -> Some k | `Hit _ -> None) classified in
-          let fetched = Hashtbl.create 16 in
-          (match misses with
-          | [] -> ()
-          | _ :: _ ->
-              let validity = t.vmax () in
-              let replies = Kv.Client.multi_get t.kv misses in
-              List.iter2
-                (fun key reply ->
-                  match reply with
-                  | None ->
-                      Hashtbl.remove t.entries key;
-                      Hashtbl.replace fetched key None
-                  | Some (data, token) ->
-                      let record = decode_record t ~key ~data ~token in
-                      install t ~key ~record ~token ~validity;
-                      Hashtbl.replace fetched key (Some (record, token)))
-                misses replies);
-          List.map
-            (function
-              | `Hit hit -> Some hit
-              | `Fetch key -> Option.join (Hashtbl.find_opt fetched key))
-            classified
-      | Shared_vs_buffer { unit_size; _ } ->
-          let classified =
-            List.map
-              (fun (key, table, rid) ->
-                match Hashtbl.find_opt t.entries key with
-                | Some entry when Version_set.subset snapshot entry.validity ->
-                    t.hits <- t.hits + 1;
-                    touch t entry;
-                    `Hit (entry.record, entry.token)
-                | Some entry -> `Check (key, entry, unit_key ~table ~rid ~unit_size)
-                | None ->
-                    t.misses <- t.misses + 1;
-                    `Fetch (key, None))
-              keyed
-          in
-          (* Round 1: unit cells of every stale entry. *)
-          let checks = List.filter_map (function `Check c -> Some c | _ -> None) classified in
-          let check_results = Hashtbl.create 8 in
-          (match checks with
-          | [] -> ()
-          | _ :: _ ->
-              t.extra_requests <- t.extra_requests + List.length checks;
-              let cell_replies =
-                Kv.Client.multi_get t.kv (List.map (fun (_, _, ck) -> ck) checks)
-              in
-              List.iter2
-                (fun (key, entry, _) reply ->
-                  match reply with
-                  | Some (cell, _) ->
-                      let remote = Version_set.decode cell in
-                      if Version_set.equal remote entry.validity then begin
-                        t.hits <- t.hits + 1;
-                        touch t entry;
-                        Hashtbl.replace check_results key (`Hit (entry.record, entry.token))
-                      end
-                      else begin
-                        t.misses <- t.misses + 1;
-                        Hashtbl.replace check_results key (`Fetch (Some remote))
-                      end
-                  | None ->
-                      t.misses <- t.misses + 1;
-                      Hashtbl.replace check_results key (`Fetch None))
-                checks cell_replies);
-          let resolved =
-            List.map
-              (function
-                | `Hit hit -> `Hit hit
-                | `Fetch (key, validity) -> `Fetch (key, validity)
-                | `Check (key, _, _) -> (
-                    match Hashtbl.find_opt check_results key with
-                    | Some (`Hit hit) -> `Hit hit
-                    | Some (`Fetch validity) -> `Fetch (key, validity)
-                    | None -> `Fetch (key, None)))
-              classified
-          in
-          (* Round 2: every record still needing a fetch. *)
-          let to_fetch =
-            List.filter_map (function `Fetch f -> Some f | `Hit _ -> None) resolved
-          in
-          let fetched = Hashtbl.create 16 in
-          (match to_fetch with
-          | [] -> ()
-          | _ :: _ ->
-              let vmax_validity = t.vmax () in
-              let replies = Kv.Client.multi_get t.kv (List.map fst to_fetch) in
-              List.iter2
-                (fun (key, validity) reply ->
-                  match reply with
-                  | None ->
-                      Hashtbl.remove t.entries key;
-                      Hashtbl.replace fetched key None
-                  | Some (data, token) ->
-                      let record = decode_record t ~key ~data ~token in
-                      let validity = Option.value validity ~default:vmax_validity in
-                      install t ~key ~record ~token ~validity;
-                      Hashtbl.replace fetched key (Some (record, token)))
-                to_fetch replies);
-          List.map
-            (function
-              | `Hit hit -> Some hit
-              | `Fetch (key, _) -> Option.join (Hashtbl.find_opt fetched key))
-            resolved)
+  let pairs = Array.of_list pairs in
+  let keys = Array.map (fun (table, rid) -> Keys.record ~table ~rid) pairs in
+  let plans =
+    Array.mapi (fun i (table, rid) -> classify t ~snapshot ~key:keys.(i) ~table ~rid) pairs
+  in
+  revalidate t plans;
+  fetch_records t keys plans;
+  Array.fold_right
+    (fun plan acc ->
+      match plan with Served r -> r :: acc | Revalidate _ | Fetch _ -> assert false)
+    plans []
 
 (* Grow the unit cell with an LL/SC union loop so that it never shrinks:
    monotonicity is what makes the [B' = B] fast path above sound. *)

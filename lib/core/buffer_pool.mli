@@ -28,19 +28,14 @@ val create :
 
 val strategy : pool -> strategy
 
-val read :
-  pool -> snapshot:Version_set.t -> table:string -> rid:int -> (Record.t * int) option
-(** [read pool ~snapshot ~table ~rid] returns the full multi-version
-    record and its LL/SC token, from the buffer when valid for [snapshot],
-    from the store otherwise; [None] if the record does not exist. *)
-
 val read_many :
   pool -> snapshot:Version_set.t -> (string * int) list -> (Record.t * int) option list
-(** Batched {!read} over [(table, rid)] pairs: at most one store
-    multi-get per miss class (records under TB/SB; unit cells then
-    records under SBVS) instead of one get per record, with each
-    strategy's hit/validity semantics preserved.  Results are in input
-    order. *)
+(** [read_many pool ~snapshot pairs] returns, for each [(table, rid)] in
+    order, the full multi-version record and its LL/SC token — from the
+    buffer when valid for [snapshot], from the store otherwise — or
+    [None] if the record does not exist.  The only read path, for one
+    record or many: at most one store multi-get per round (unit cells,
+    then records, under SBVS; records only under TB/SB). *)
 
 val note_applied :
   pool -> table:string -> rid:int -> record:Record.t -> token:int -> tid:int -> unit

@@ -474,41 +474,21 @@ let rpc t ?src ?on_reply_lost ~demand f =
           unavailable ()));
   reply
 
-let start t ?src ~from_group () =
-  rpc t ?src ~demand:900
-    ~on_reply_lost:(fun (reply : start_reply) ->
-      (* The caller never learned its tid, so nobody will ever decide or
-         even claim it — an orphaned active entry would hold the lav (and
-         with it every snapshot base and version GC) back forever.  In a
-         real deployment a handout lease expires; here the manager sees
-         the drop and aborts the tid on the spot. *)
-      Hashtbl.remove t.active reply.tid;
-      mark_decided t ~tid:reply.tid ~committed:false)
-    (fun () ->
-      refresh_stale_peers t;
-      match next_tid t with
-      | tid ->
-          let snapshot = snapshot_of_state t in
-          Hashtbl.replace t.active tid (Version_set.base snapshot, from_group);
-          { tid; snapshot; lav = global_lav t }
-      | exception Kv.Op.Fenced _ ->
-          (* The range refill bounced: this instance was replaced while
-             partitioned.  Fence ourselves and answer like a dead node. *)
-          self_fence t;
-          raise (Kv.Op.Unavailable (endpoint t)))
-
-(* The begin-window coalescer's form of {!start}: one RPC starting a
-   whole window of transactions.  Every transaction in the batch gets
-   its own tid but they share the snapshot computed once at service
-   time — for the early arrivals that is a slightly delayed snapshot,
-   which SI tolerates (§4.2): at worst the abort rate rises. *)
+(* One RPC starting a whole begin window of transactions.  Every
+   transaction in the batch gets its own tid but they share the snapshot
+   computed once at service time — for the early arrivals that is a
+   slightly delayed snapshot, which SI tolerates (§4.2): at worst the
+   abort rate rises. *)
 let start_many t ?src ~from_group ~count () =
   if count <= 0 then invalid_arg "Commit_manager.start_many: count must be positive";
   rpc t ?src
     ~demand:(900 + (120 * (count - 1)))
     ~on_reply_lost:(fun (replies : start_reply list) ->
-      (* As in {!start}: the caller never learned any of these tids, so
-         abort the whole batch on the spot rather than hold the lav. *)
+      (* The caller never learned these tids, so nobody will ever
+         decide or even claim them — orphaned active entries would hold
+         the lav (and with it every snapshot base and version GC) back
+         forever.  In a real deployment a handout lease expires; here the
+         manager sees the drop and aborts the batch on the spot. *)
       List.iter
         (fun (reply : start_reply) ->
           Hashtbl.remove t.active reply.tid;
@@ -548,16 +528,6 @@ let start_many t ?src ~from_group ~count () =
           { tid; snapshot; lav })
         !tids)
 
-let set_committed t ?src ~tid () =
-  rpc t ?src ~demand:350 (fun () ->
-      Hashtbl.remove t.active tid;
-      mark_decided t ~tid ~committed:true)
-
-let set_aborted t ?src ~tid () =
-  rpc t ?src ~demand:350 (fun () ->
-      Hashtbl.remove t.active tid;
-      mark_decided t ~tid ~committed:false)
-
 let set_decided_batch t ?src ~committed ~aborted () =
   let n = List.length committed + List.length aborted in
   if n > 0 then
@@ -570,6 +540,14 @@ let set_decided_batch t ?src ~committed ~aborted () =
         in
         List.iter (decide ~committed:true) committed;
         List.iter (decide ~committed:false) aborted)
+
+let start t ?src ~from_group () =
+  match start_many t ?src ~from_group ~count:1 () with
+  | [ reply ] -> reply
+  | _ -> assert false
+
+let set_committed t ?src ~tid () = set_decided_batch t ?src ~committed:[ tid ] ~aborted:[] ()
+let set_aborted t ?src ~tid () = set_decided_batch t ?src ~committed:[] ~aborted:[ tid ] ()
 
 (* --- introspection / recovery ---------------------------------------------- *)
 

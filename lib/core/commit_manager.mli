@@ -68,23 +68,26 @@ val was_fenced : t -> bool
     surfaces as {!Tell_kv.Op.Unavailable} after the client timeout.
     Without it the legacy always-delivered path is used. *)
 
-val start : t -> ?src:string -> from_group:Tell_sim.Engine.Group.t -> unit -> start_reply
-
 val start_many :
   t -> ?src:string -> from_group:Tell_sim.Engine.Group.t -> count:int -> unit -> start_reply list
-(** One RPC starting [count] transactions at once — the coalesced form of
-    {!start} used by the per-PN begin window.  Each reply carries its own
-    tid; all replies share the snapshot computed at service time (a
-    slightly delayed snapshot is correct under SI, §4.2).  Raises
-    [Invalid_argument] when [count <= 0]. *)
+(** One RPC starting [count] transactions at once — what the per-PN begin
+    window issues.  Each reply carries its own tid; all replies share the
+    snapshot computed at service time (a slightly delayed snapshot is
+    correct under SI, §4.2).  Raises [Invalid_argument] when
+    [count <= 0]. *)
 
-val set_committed : t -> ?src:string -> tid:int -> unit -> unit
-val set_aborted : t -> ?src:string -> tid:int -> unit -> unit
+val start : t -> ?src:string -> from_group:Tell_sim.Engine.Group.t -> unit -> start_reply
+(** [start_many ~count:1]. *)
 
 val set_decided_batch : t -> ?src:string -> committed:int list -> aborted:int list -> unit -> unit
-(** One RPC deciding many transactions at once — the coalesced form of
-    {!set_committed}/{!set_aborted} used by the per-PN notifier.  A no-op
-    when both lists are empty. *)
+(** One RPC deciding many transactions at once — what the per-PN notifier
+    issues.  A no-op when both lists are empty. *)
+
+val set_committed : t -> ?src:string -> tid:int -> unit -> unit
+(** A one-tid {!set_decided_batch}. *)
+
+val set_aborted : t -> ?src:string -> tid:int -> unit -> unit
+(** A one-tid {!set_decided_batch}. *)
 
 (** {1 Introspection and recovery} *)
 

@@ -234,63 +234,54 @@ let note_begins_served t cm n =
    leaks for the reclamation sweep. *)
 let begin_start t =
   t.begins <- t.begins + 1;
-  if t.begin_window_ns <= 0 then begin
-    (* Coalescing disabled: the direct path. *)
-    let cm, reply =
-      with_begin_failover t (fun cm ->
-          Commit_manager.start cm ~src:(endpoint t) ~from_group:t.group ())
-    in
-    claim_tid t reply.Commit_manager.tid;
-    note_begins_served t cm 1;
-    (cm, reply)
-  end
-  else
-    match t.begin_window with
-    | Some waiters ->
-        let iv = Sim.Ivar.create t.engine in
-        waiters := iv :: !waiters;
-        Sim.Ivar.read iv
-    | None ->
-        let iv = Sim.Ivar.create t.engine in
-        let waiters = ref [ iv ] in
-        t.begin_window <- Some waiters;
-        let opened = Sim.Engine.now t.engine in
-        (try
-           Sim.Engine.sleep t.engine t.begin_window_ns;
-           t.begin_window <- None;
-           let batch = List.rev !waiters in
-           let n = List.length batch in
-           match
-             with_begin_failover t (fun cm ->
-                 Commit_manager.start_many cm ~src:(endpoint t) ~from_group:t.group ~count:n ())
-           with
-           | cm, replies ->
-               List.iter
-                 (fun (reply : Commit_manager.start_reply) -> claim_tid t reply.tid)
-                 replies;
-               note_begins_served t cm n;
-               List.iter2 (fun iv reply -> Sim.Ivar.fill iv (cm, reply)) batch replies;
-               note_commit_phase t ~phase:"begin" ~ops:n (Sim.Engine.now t.engine - opened)
-           | exception e ->
-               (* Manager crashed or unreachable mid-window: every waiter
-                  sees the failure; no tid was claimed. *)
-               List.iter (fun w -> Sim.Ivar.fill_exn w e) batch
-         with e ->
-           (* The leader itself died in the window (its group was killed)
-              or failed before the RPC: close the window and fail every
-              waiter not yet answered.  A waiter whose own group is still
-              alive sees the node-begin failure, not our cancellation. *)
-           (match t.begin_window with
-           | Some w when w == waiters -> t.begin_window <- None
-           | Some _ | None -> ());
-           let failure =
-             match e with Sim.Engine.Cancelled -> Kv.Op.Unavailable (endpoint t) | e -> e
-           in
-           List.iter
-             (fun w -> if not (Sim.Ivar.is_filled w) then Sim.Ivar.fill_exn w failure)
-             !waiters;
-           raise e);
-        Sim.Ivar.read iv
+  match t.begin_window with
+  | Some waiters ->
+      let iv = Sim.Ivar.create t.engine in
+      waiters := iv :: !waiters;
+      Sim.Ivar.read iv
+  | None ->
+      let iv = Sim.Ivar.create t.engine in
+      let waiters = ref [ iv ] in
+      t.begin_window <- Some waiters;
+      let opened = Sim.Engine.now t.engine in
+      (try
+         (* A window of 0 never suspends here, so it closes with its
+            leader alone: one RPC per begin. *)
+         if t.begin_window_ns > 0 then Sim.Engine.sleep t.engine t.begin_window_ns;
+         t.begin_window <- None;
+         let batch = List.rev !waiters in
+         let n = List.length batch in
+         match
+           with_begin_failover t (fun cm ->
+               Commit_manager.start_many cm ~src:(endpoint t) ~from_group:t.group ~count:n ())
+         with
+         | cm, replies ->
+             List.iter
+               (fun (reply : Commit_manager.start_reply) -> claim_tid t reply.tid)
+               replies;
+             note_begins_served t cm n;
+             List.iter2 (fun iv reply -> Sim.Ivar.fill iv (cm, reply)) batch replies;
+             note_commit_phase t ~phase:"begin" ~ops:n (Sim.Engine.now t.engine - opened)
+         | exception e ->
+             (* Manager crashed or unreachable mid-window: every waiter
+                sees the failure; no tid was claimed. *)
+             List.iter (fun w -> Sim.Ivar.fill_exn w e) batch
+       with e ->
+         (* The leader itself died in the window (its group was killed)
+            or failed before the RPC: close the window and fail every
+            waiter not yet answered.  A waiter whose own group is still
+            alive sees the node-begin failure, not our cancellation. *)
+         (match t.begin_window with
+         | Some w when w == waiters -> t.begin_window <- None
+         | Some _ | None -> ());
+         let failure =
+           match e with Sim.Engine.Cancelled -> Kv.Op.Unavailable (endpoint t) | e -> e
+         in
+         List.iter
+           (fun w -> if not (Sim.Ivar.is_filled w) then Sim.Ivar.fill_exn w failure)
+           !waiters;
+         raise e);
+      Sim.Ivar.read iv
 
 let begin_stats t = (t.begins, t.begin_rpcs)
 

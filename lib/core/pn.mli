@@ -108,8 +108,10 @@ val begin_start : t -> Commit_manager.t * Commit_manager.start_reply
     [Commit_manager.start_many] round trip.  Each caller gets a unique
     tid (already claimed on this node by the window's leader); the window
     shares the snapshot computed when the batched RPC was served — a
-    delayed snapshot is correct under SI (§4.2).  With a window of [0]
-    this is exactly [Commit_manager.start] plus the claim.  Raises
+    delayed snapshot is correct under SI (§4.2).  A window of [0] is
+    the same path without the wait: its leader never suspends before the
+    RPC, so each begin issues its own [start_many ~count:1] and is
+    recorded in the ["begin"] phase like any window.  Raises
     whatever the underlying RPC raises (e.g. [Unavailable] when the
     manager crashed mid-window); on failure no tid was claimed. *)
 

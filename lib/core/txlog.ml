@@ -44,8 +44,6 @@ let decode ~tid s =
 
 let append kv entry = Kv.Client.put kv (Keys.log_entry ~tid:entry.tid) (encode entry)
 
-let mark_committed kv entry = Kv.Client.put kv (Keys.log_entry ~tid:entry.tid) (encode { entry with committed = true })
-
 let mark_committed_many kv entries =
   match entries with
   | [] -> ()

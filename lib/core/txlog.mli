@@ -19,7 +19,6 @@ val encode : entry -> string
 
 val decode : tid:int -> string -> entry
 val append : Tell_kv.Client.t -> entry -> unit
-val mark_committed : Tell_kv.Client.t -> entry -> unit
 
 (** Flag a batch of entries with one multi-write: one request per storage
     node touched rather than one per entry. *)

@@ -120,27 +120,36 @@ let check_running t = match t.status with Running -> () | Committed | Aborted ->
 
 let visible t v = Version_set.mem t.snapshot v
 
-(* Fetch a record through the buffering strategy, caching it for the rest
-   of this transaction (the "transaction buffer" of §5.5.1 is always on). *)
 let note_read_token t key state =
   if t.isolation = Serializable && not (Hashtbl.mem t.read_tokens key) then
     Hashtbl.replace t.read_tokens key
       (match state with Some { token; _ } -> Some token | None -> None)
 
+(* The pool core of every fetch: read [missing] (none of them cached
+   yet) through one [Buffer_pool.read_many] and cache each store state
+   for the rest of this transaction (the "transaction buffer" of §5.5.1
+   is always on). *)
+let fetch_through_pool t missing =
+  let states = Buffer_pool.read_many (Pn.pool t.pn) ~snapshot:t.snapshot missing in
+  List.iter2
+    (fun (table, rid) state ->
+      let key = Keys.record ~table ~rid in
+      let state = Option.map (fun (record, token) -> { record; token }) state in
+      Hashtbl.replace t.cache key state;
+      note_read_token t key state)
+    missing states
+
+(* Fetch one record through the buffering strategy.  Unlike [fetch_many]
+   it does not consult the write buffer: [read_record] wants the store
+   state even of a record this transaction has written. *)
 let fetch t ~table ~rid =
   let key = Keys.record ~table ~rid in
   match Hashtbl.find_opt t.cache key with
   | Some state -> state
   | None ->
       Pn.charge t.pn (Pn.cost t.pn).cpu_per_read_ns;
-      let state =
-        match Buffer_pool.read (Pn.pool t.pn) ~snapshot:t.snapshot ~table ~rid with
-        | Some (record, token) -> Some { record; token }
-        | None -> None
-      in
-      Hashtbl.replace t.cache key state;
-      note_read_token t key state;
-      state
+      fetch_through_pool t [ (table, rid) ];
+      Hashtbl.find t.cache key
 
 let payload_to_tuple = function Record.Tuple tuple -> Some tuple | Record.Tombstone -> None
 
@@ -168,10 +177,9 @@ let visible_tuple t record =
   | Some { payload = Record.Tuple tuple; _ } -> Some tuple
   | Some { payload = Record.Tombstone; _ } | None -> None
 
-(* Shared batched-fetch core of every fused read path: one
-   [Buffer_pool.read_many] (itself at most one store multi-get per miss
-   class) covering every listed record not already in the write buffer or
-   the transaction cache.  Returns how many records were fetched through
+(* Batched fetch of every fused read path: one [fetch_through_pool]
+   covering every listed record not already in the write buffer or the
+   transaction cache.  Returns how many records were fetched through
    the pool.  The batch crosses a suspension point, so callers must treat
    the whole call as one step of the single-flight rule (CLAUDE.md): no
    shared mutable state may be read before it and updated after it. *)
@@ -192,14 +200,7 @@ let fetch_many t pairs =
   match missing with
   | [] -> 0
   | _ :: _ ->
-      let states = Buffer_pool.read_many (Pn.pool t.pn) ~snapshot:t.snapshot missing in
-      List.iter2
-        (fun (table, rid) state ->
-          let key = Keys.record ~table ~rid in
-          let state = Option.map (fun (record, token) -> { record; token }) state in
-          Hashtbl.replace t.cache key state;
-          note_read_token t key state)
-        missing states;
+      fetch_through_pool t missing;
       List.length missing
 
 (* Resolve a record already buffered by [fetch_many] (or by an earlier

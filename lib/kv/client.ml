@@ -327,7 +327,7 @@ let fresh_op_id t =
   t.next_op_id <- t.next_op_id + 1;
   t.next_op_id
 
-let enqueue t ?(op_id = 0) op =
+let enqueue t ~op_id op =
   let sn_id = master_for t (Op.key_of op) in
   let lane = lane_for t sn_id in
   let reply = Sim.Ivar.create (engine t) in
@@ -335,11 +335,6 @@ let enqueue t ?(op_id = 0) op =
   (sn_id, lane, reply)
 
 let kick t sn_id lane = if not lane.in_flight then dispatch t ~sn_id lane
-
-let submit t ?op_id op =
-  let sn_id, lane, reply = enqueue t ?op_id op in
-  kick t sn_id lane;
-  reply
 
 (* Enqueue a whole list before kicking lanes, so that operations of a
    multi-record call travel together per storage node. *)
@@ -403,61 +398,20 @@ let expect_value = function
   | Op.Value v -> v
   | _ -> invalid_arg "Client: protocol mismatch (expected Value)"
 
-let get t key = with_retry t ~attempts:max_retries (fun () -> expect_value (Sim.Ivar.read (submit t (Op.Get key))))
-
-let put t key data =
-  with_retry t ~attempts:max_retries (fun () ->
-      match Sim.Ivar.read (submit t (Op.Put (key, data))) with
-      | Op.Done -> ()
-      | _ -> invalid_arg "Client.put: protocol mismatch")
-
-(* Conditional mutations travel under a stable per-op id across every
-   retry: the storage node replays the first verdict if the op already
-   executed and only the reply was lost (exactly-once over an
-   at-least-once network).  Plain reads and idempotent writes go out with
-   id 0 — re-executing them is harmless. *)
-let put_if t key expected data =
-  let op_id = fresh_op_id t in
-  with_retry t ~attempts:max_retries (fun () ->
-      match Sim.Ivar.read (submit t ~op_id (Op.Put_if (key, expected, data))) with
-      | Op.Token token -> `Ok token
-      | Op.Conflict -> `Conflict
-      | _ -> invalid_arg "Client.put_if: protocol mismatch")
-
-let remove_if t key expected =
-  let op_id = fresh_op_id t in
-  with_retry t ~attempts:max_retries (fun () ->
-      match Sim.Ivar.read (submit t ~op_id (Op.Remove (key, expected))) with
-      | Op.Done -> `Ok
-      | Op.Conflict -> `Conflict
-      | _ -> invalid_arg "Client.remove_if: protocol mismatch")
-
-let append t key suffix =
-  let op_id = fresh_op_id t in
-  with_retry t ~attempts:max_retries (fun () ->
-      match Sim.Ivar.read (submit t ~op_id (Op.Append (key, suffix))) with
-      | Op.Appended (data, token) -> (data, token)
-      | _ -> invalid_arg "Client.append: protocol mismatch")
-
-let increment t key by =
-  let op_id = fresh_op_id t in
-  with_retry t ~attempts:max_retries (fun () ->
-      match Sim.Ivar.read (submit t ~op_id (Op.Increment (key, by))) with
-      | Op.Count (v, _) -> v
-      | _ -> invalid_arg "Client.increment: protocol mismatch")
-
 let multi_get t keys =
   with_retry t ~attempts:max_retries (fun () ->
       let replies = submit_many t (List.map (fun k -> (0, Op.Get k)) keys) in
       List.map (fun r -> expect_value (Sim.Ivar.read r)) replies)
 
-(* Unlike [multi_get], a failed write batch is not retried wholesale:
-   only the operations whose replies came back [Unavailable] are
-   re-submitted (the others already returned a verdict).  Conditional
-   writes keep their op id across re-sends, so one that landed before the
-   reply was lost replays its original verdict instead of conflicting
-   with its own first attempt. *)
-let multi_write t ops =
+(* The one write path.  Unlike [multi_get], a failed write batch is not
+   retried wholesale: only the operations whose replies came back
+   [Unavailable] are re-submitted (the others already returned a
+   verdict).  Conditional mutations travel under a stable per-op id
+   across every re-send: the storage node replays the first verdict if
+   the op already executed and only the reply was lost (exactly-once
+   over an at-least-once network).  Id 0 means not deduped — re-executing
+   a plain write is harmless. *)
+let write_batch t ops =
   let results = Array.make (List.length ops) Op.Done in
   let bounces = ref bounce_budget in
   let rec go attempts pending =
@@ -494,11 +448,45 @@ let multi_write t ops =
         refresh_directory t;
         go (if !timed_out then attempts - 1 else attempts) failed
   in
-  go max_retries
-    (List.mapi
-       (fun i op -> (i, (if Op.needs_dedup op then fresh_op_id t else 0), op))
-       ops);
+  go max_retries (List.mapi (fun i (op_id, op) -> (i, op_id, op)) ops);
   Array.to_list results
+
+let multi_write t ops =
+  write_batch t (List.map (fun op -> ((if Op.needs_dedup op then fresh_op_id t else 0), op)) ops)
+
+let write_one t ~op_id op =
+  match write_batch t [ (op_id, op) ] with [ result ] -> result | _ -> assert false
+
+let get t key = match multi_get t [ key ] with [ reply ] -> reply | _ -> assert false
+
+let put t key data =
+  match write_one t ~op_id:0 (Op.Put (key, data)) with
+  | Op.Done -> ()
+  | _ -> invalid_arg "Client.put: protocol mismatch"
+
+let put_if t key expected data =
+  match write_one t ~op_id:(fresh_op_id t) (Op.Put_if (key, expected, data)) with
+  | Op.Token token -> `Ok token
+  | Op.Conflict -> `Conflict
+  | _ -> invalid_arg "Client.put_if: protocol mismatch"
+
+(* Deduped even when unconditional ([expected = None]), unlike a
+   [Remove (_, None)] inside [multi_write]. *)
+let remove_if t key expected =
+  match write_one t ~op_id:(fresh_op_id t) (Op.Remove (key, expected)) with
+  | Op.Done -> `Ok
+  | Op.Conflict -> `Conflict
+  | _ -> invalid_arg "Client.remove_if: protocol mismatch"
+
+let append t key suffix =
+  match write_one t ~op_id:(fresh_op_id t) (Op.Append (key, suffix)) with
+  | Op.Appended (data, token) -> (data, token)
+  | _ -> invalid_arg "Client.append: protocol mismatch"
+
+let increment t key by =
+  match write_one t ~op_id:(fresh_op_id t) (Op.Increment (key, by)) with
+  | Op.Count (v, _) -> v
+  | _ -> invalid_arg "Client.increment: protocol mismatch"
 
 let scan_with t ~op_of =
   with_retry t ~attempts:max_retries (fun () ->

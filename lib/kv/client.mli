@@ -31,7 +31,11 @@ val epoch : t -> int
     refuse writes stamped below the sender's declared-dead fence with
     {!Op.Fenced} (zombie fencing). *)
 
-(** {1 Single-record operations (LL/SC)} *)
+(** {1 Single-record operations (LL/SC)}
+
+    Each is a one-operation {!multi_get} or {!multi_write}: one retry
+    policy for every operation.  The conditional ones ({!put_if},
+    {!remove_if}, {!append}, {!increment}) are deduped across re-sends. *)
 
 val get : t -> Op.key -> (string * int) option
 (** Load-link: value and token. *)

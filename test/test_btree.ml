@@ -652,6 +652,31 @@ let run_hot_leaf seed =
 
 let test_hot_leaf_contention () = List.iter run_hot_leaf [ 1; 4; 6 ]
 
+(* One flush per stripe at a time: a second flush of a stripe that the
+   same handle is still flushing could re-apply an older message over a
+   newer one, so it must be refused outright; once the first flush is
+   done the stripe flushes normally again. *)
+let test_concurrent_flush_refused () =
+  with_cluster (fun engine cluster ->
+      let kv = client cluster in
+      Btree.create kv ~name:"solo";
+      let tree = Btree.attach kv ~name:"solo" in
+      Btree.enqueue_many tree
+        ~ops:(List.init 20 (fun i -> Btree.Add (Printf.sprintf "s%03d" i, i)));
+      let first = Sim.Ivar.create engine in
+      Sim.Engine.spawn engine (fun () -> Sim.Ivar.fill first (Btree.flush_stripe tree ~stripe:0));
+      (* The spawned flush runs first and suspends on its stripe read. *)
+      Sim.Engine.sleep engine 1;
+      (match Btree.flush_stripe tree ~stripe:0 with
+      | _ -> Alcotest.fail "a second concurrent flush of one stripe must be refused"
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check int) "the first flush applied everything" 20 (Sim.Ivar.read first);
+      Alcotest.(check int) "a later flush runs (nothing left)" 0
+        (Btree.flush_stripe tree ~stripe:0);
+      Alcotest.(check int) "no pending messages" 0 (Btree.pending_messages tree);
+      Alcotest.(check int) "all entries in the leaves" 20
+        (List.length (Btree.range tree ~lo:"s" ~hi:"t")))
+
 let () =
   Alcotest.run "btree"
     [
@@ -678,5 +703,7 @@ let () =
             test_orphan_reclaim;
           Alcotest.test_case "hot-leaf contention survives the attempt budget" `Quick
             test_hot_leaf_contention;
+          Alcotest.test_case "concurrent flush of one stripe is refused" `Quick
+            test_concurrent_flush_refused;
         ] );
     ]

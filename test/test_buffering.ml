@@ -167,6 +167,74 @@ let test_unit_cell_give_ups () =
   Alcotest.(check int) "give-ups + successful grows = calls" 16 (grown + give_ups);
   Alcotest.(check bool) "16 racing writers exhaust some budgets" true (give_ups > 0)
 
+(* Pin the pool's accounting, per strategy, over one fixed sequence on a
+   reader PN whose peer writes under the same strategy: single fetches
+   ([Txn.read], [Txn.update]), a batched read, a remote write, then
+   re-reads.  Under SBVS the re-reads revalidate both ways: [r1]'s unit
+   cell is unchanged (a hit that costs one cell fetch), [r2]'s was grown
+   by the remote write (a refetch).  Each step records the deltas of
+   (hits, misses, extra_requests, reader requests_sent). *)
+let accounting_steps ~buffer =
+  run_sim (fun engine ->
+      let kv_config =
+        { Kv.Cluster.default_config with n_storage_nodes = 3; replication_factor = 1 }
+      in
+      let db = Database.create engine ~kv_config () in
+      let reader = Database.add_pn db ~buffer () in
+      let writer = Database.add_pn db ~buffer () in
+      ignore (Database.exec writer "CREATE TABLE t (id INT, v INT, PRIMARY KEY (id))");
+      for i = 1 to 30 do
+        ignore (Database.exec writer (Printf.sprintf "INSERT INTO t VALUES (%d, %d)" i (i * 100)))
+      done;
+      let rid_of id =
+        Database.with_txn writer (fun txn ->
+            match Txn.index_lookup txn ~index:"pk_t" ~key:(Codec.encode_key [ Value.Int id ]) with
+            | [ rid ] -> rid
+            | _ -> Alcotest.fail "rid lookup failed")
+      in
+      let r1 = rid_of 3 and r2 = rid_of 15 and r3 = rid_of 25 in
+      Alcotest.(check (list int)) "three distinct SBVS10 units" [ 0; 1; 2 ]
+        (List.map (fun rid -> rid / 10) [ r1; r2; r3 ]);
+      let pool = Pn.pool reader and kv = Pn.kv reader in
+      let counters () =
+        [ Buffer_pool.hits pool; Buffer_pool.misses pool; Buffer_pool.extra_requests pool;
+          Kv.Client.requests_sent kv ]
+      in
+      let settle () = Sim.Engine.sleep engine 1_000_000 in
+      let step f =
+        let before = counters () in
+        f ();
+        List.map2 ( - ) (counters ()) before
+      in
+      settle ();
+      let t1 = Txn.begin_txn reader in
+      let single_read = step (fun () -> ignore (Txn.read t1 ~table:"t" ~rid:r1)) in
+      let single_update =
+        step (fun () -> Txn.update t1 ~table:"t" ~rid:r2 [| Value.Int 15; Value.Int 1 |])
+      in
+      let commit = step (fun () -> Txn.commit t1) in
+      settle ();
+      let t2 = Txn.begin_txn reader in
+      let batch = step (fun () -> ignore (Txn.read_batch t2 ~table:"t" ~rids:[ r1; r2; r3 ])) in
+      Txn.commit t2;
+      ignore (Database.exec writer "UPDATE t SET v = 2 WHERE id = 15");
+      settle ();
+      let t3 = Txn.begin_txn reader in
+      let reread_unchanged = step (fun () -> ignore (Txn.read t3 ~table:"t" ~rid:r1)) in
+      let reread_changed = step (fun () -> ignore (Txn.read_batch t3 ~table:"t" ~rids:[ r2 ])) in
+      Alcotest.(check (option int)) "re-read sees the remote write" (Some 2)
+        (Option.map (fun row -> Value.as_int row.(1)) (Txn.read t3 ~table:"t" ~rid:r2));
+      Txn.commit t3;
+      [ single_read; single_update; commit; batch; reread_unchanged; reread_changed ])
+
+let test_pool_accounting ~buffer ~expected () =
+  let names = [ "read"; "update"; "commit"; "read_batch"; "re-read r1"; "re-read r2" ] in
+  List.iter2
+    (fun name (want, got) ->
+      Alcotest.(check (list int)) (name ^ ": hits, misses, extra, requests") want got)
+    names
+    (List.combine expected (accounting_steps ~buffer))
+
 let () =
   Alcotest.run "buffering"
     [
@@ -183,6 +251,23 @@ let () =
             (test_remote_write_visibility
                ~buffer:(Buffer_pool.Shared_vs_buffer { capacity = 1_000; unit_size = 1000 }));
           Alcotest.test_case "SBVS unit-cell give-ups are counted" `Quick test_unit_cell_give_ups;
+          Alcotest.test_case "TB: pool accounting pinned" `Quick
+            (test_pool_accounting ~buffer:Buffer_pool.Transaction_buffer
+               ~expected:
+                 [ [ 0; 1; 0; 1 ]; [ 0; 1; 0; 2 ]; [ 0; 0; 0; 2 ]; [ 0; 3; 0; 1 ]; [ 0; 1; 0; 1 ];
+                   [ 0; 1; 0; 1 ] ]);
+          Alcotest.test_case "SB: pool accounting pinned" `Quick
+            (test_pool_accounting
+               ~buffer:(Buffer_pool.Shared_record_buffer { capacity = 1_000 })
+               ~expected:
+                 [ [ 0; 1; 0; 1 ]; [ 0; 1; 0; 2 ]; [ 0; 0; 0; 2 ]; [ 1; 2; 0; 1 ]; [ 0; 1; 0; 1 ];
+                   [ 0; 1; 0; 1 ] ]);
+          Alcotest.test_case "SBVS10: pool accounting pinned" `Quick
+            (test_pool_accounting
+               ~buffer:(Buffer_pool.Shared_vs_buffer { capacity = 1_000; unit_size = 10 })
+               ~expected:
+                 [ [ 0; 1; 0; 1 ]; [ 0; 1; 0; 2 ]; [ 0; 0; 1; 4 ]; [ 1; 2; 1; 2 ]; [ 1; 0; 1; 1 ];
+                   [ 0; 1; 1; 2 ] ]);
           Alcotest.test_case "all strategies TPC-C-consistent" `Slow test_strategies_equivalent;
         ] );
     ]

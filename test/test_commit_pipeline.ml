@@ -96,7 +96,7 @@ let test_crash_after_flag_keeps_commit () =
           | `Ok _ -> ()
           | `Conflict -> Alcotest.fail "apply failed")
       | None -> Alcotest.fail "record missing");
-      Txlog.mark_committed (Pn.kv pn1) entry;
+      Txlog.mark_committed_many (Pn.kv pn1) [ entry ];
       Database.crash_pn db pn1;
       Alcotest.(check int) "tid wedged in the active set" 1 (Commit_manager.active_count cm);
       Alcotest.(check int) "nothing rolled back" 0 (Database.recover_crashed_pns db);

@@ -224,47 +224,65 @@ let test_lookup_many_grouped_stale_leaf_fallback () =
 
 (* --- Begin-window coalescing ---------------------------------------------------- *)
 
+let begin_phase_ops pn =
+  List.fold_left
+    (fun acc (phase, _, ops) -> if phase = "begin" then ops else acc)
+    0
+    (Sim.Stats.Breakdown.phases (Pn.commit_stats pn))
+
+(* Concurrent begins share one start RPC per window; a window of 0 is the
+   same path without the wait, so each begin pays its own RPC.  Either
+   way every begin lands in the "begin" phase. *)
 let test_begin_coalescing_shares_one_rpc () =
-  run_sim (fun engine ->
-      let _, pn = make_db ~begin_window_ns:100_000 engine in
-      setup pn [ (1, 10) ];
-      let begins0, rpcs0 = Pn.begin_stats pn in
-      let n = 6 in
-      let txns = ref [] and finished = ref 0 in
-      for _ = 1 to n do
-        Sim.Engine.spawn engine (fun () ->
-            let txn = Txn.begin_txn pn in
-            txns := txn :: !txns;
-            incr finished)
-      done;
-      while !finished < n do
-        Sim.Engine.sleep engine 100_000
-      done;
-      let txns = !txns in
-      (* Unique tids, all claimed, all sharing the window's snapshot. *)
-      let tids = List.sort_uniq compare (List.map Txn.tid txns) in
-      Alcotest.(check int) "distinct tids" n (List.length tids);
-      List.iter
-        (fun tid -> Alcotest.(check bool) "tid claimed" true (Pn.claims pn ~tid))
-        tids;
-      (match txns with
-      | first :: rest ->
+  List.iter
+    (fun window ->
+      run_sim (fun engine ->
+          let _, pn = make_db ~begin_window_ns:window engine in
+          setup pn [ (1, 10) ];
+          let begins0, rpcs0 = Pn.begin_stats pn in
+          let ops0 = begin_phase_ops pn in
+          let n = 6 in
+          let txns = ref [] and finished = ref 0 in
+          for _ = 1 to n do
+            Sim.Engine.spawn engine (fun () ->
+                let txn = Txn.begin_txn pn in
+                txns := txn :: !txns;
+                incr finished)
+          done;
+          while !finished < n do
+            Sim.Engine.sleep engine 100_000
+          done;
+          let txns = !txns in
+          let label what = Printf.sprintf "window %d: %s" window what in
+          (* Unique tids, all claimed; a window shares its snapshot. *)
+          let tids = List.sort_uniq compare (List.map Txn.tid txns) in
+          Alcotest.(check int) (label "distinct tids") n (List.length tids);
           List.iter
-            (fun txn ->
-              Alcotest.(check bool) "shared window snapshot" true
-                (Version_set.equal (Txn.snapshot first) (Txn.snapshot txn)))
-            rest
-      | [] -> Alcotest.fail "no transactions");
-      let begins1, rpcs1 = Pn.begin_stats pn in
-      Alcotest.(check int) "begins counted" n (begins1 - begins0);
-      Alcotest.(check int) "one coalesced start RPC" 1 (rpcs1 - rpcs0);
-      List.iter Txn.commit txns;
-      (* Sequential begins coalesce nothing: each pays its own RPC. *)
-      let _, rpcs2 = Pn.begin_stats pn in
-      Database.with_txn pn (fun _ -> ());
-      Database.with_txn pn (fun _ -> ());
-      let _, rpcs3 = Pn.begin_stats pn in
-      Alcotest.(check int) "sequential begins pay per-RPC" 2 (rpcs3 - rpcs2))
+            (fun tid -> Alcotest.(check bool) (label "tid claimed") true (Pn.claims pn ~tid))
+            tids;
+          (match txns with
+          | first :: rest ->
+              if window > 0 then
+                List.iter
+                  (fun txn ->
+                    Alcotest.(check bool) (label "shared window snapshot") true
+                      (Version_set.equal (Txn.snapshot first) (Txn.snapshot txn)))
+                  rest
+          | [] -> Alcotest.fail "no transactions");
+          let begins1, rpcs1 = Pn.begin_stats pn in
+          Alcotest.(check int) (label "begins counted") n (begins1 - begins0);
+          Alcotest.(check int) (label "start RPCs")
+            (if window > 0 then 1 else n)
+            (rpcs1 - rpcs0);
+          Alcotest.(check int) (label "begin-phase ops") n (begin_phase_ops pn - ops0);
+          List.iter Txn.commit txns;
+          (* Sequential begins coalesce nothing: each pays its own RPC. *)
+          let _, rpcs2 = Pn.begin_stats pn in
+          Database.with_txn pn (fun _ -> ());
+          Database.with_txn pn (fun _ -> ());
+          let _, rpcs3 = Pn.begin_stats pn in
+          Alcotest.(check int) (label "sequential begins pay per-RPC") 2 (rpcs3 - rpcs2)))
+    [ 100_000; 0 ]
 
 let test_begin_window_cm_crash () =
   run_sim (fun engine ->
