@@ -23,9 +23,9 @@ test:
 # within the smoke tolerance of the committed baseline — the headline
 # run writes BENCH_index_current.json), and that same run reproduces
 # every simulated counter of BENCH_commit.json exactly (bench_compare
-# --exact: refactors move the host clock only), and so do reduced runs
-# of the two shared-buffer strategies against BENCH_sb.json and
-# BENCH_sbvs10.json.
+# --exact: refactors move the host clock only), and so do a reduced
+# read-mix run against BENCH_read.json and reduced runs of the two
+# shared-buffer strategies against BENCH_sb.json and BENCH_sbvs10.json.
 check:
 	dune build @all
 	dune runtest
@@ -39,6 +39,8 @@ check:
 	dune exec bin/tell_bench.exe -- tell --pns 4 --rf 3 --json BENCH_index_current.json
 	dune exec bin/bench_compare.exe -- --index BENCH_commit.json BENCH_index_current.json
 	dune exec bin/bench_compare.exe -- --exact BENCH_commit.json BENCH_index_current.json
+	dune exec bin/tell_bench.exe -- tell --pns 4 --rf 3 --mix read --measure-ms 150 --json BENCH_read_current.json
+	dune exec bin/bench_compare.exe -- --exact BENCH_read.json BENCH_read_current.json
 	dune exec bin/tell_bench.exe -- tell --pns 4 --rf 3 --warehouses 8 --measure-ms 150 --buffer sb --json BENCH_sb_current.json
 	dune exec bin/bench_compare.exe -- --exact BENCH_sb.json BENCH_sb_current.json
 	dune exec bin/tell_bench.exe -- tell --pns 4 --rf 3 --warehouses 8 --measure-ms 150 --buffer sbvs10 --json BENCH_sbvs10_current.json

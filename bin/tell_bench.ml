@@ -60,6 +60,8 @@ let print_detail (detail : Scenarios.tell_detail) outcome =
     Printf.printf "  stale-master bounces absorbed: %d (directory refresh + retry)\n"
       detail.d_stale_bounces;
   Printf.printf "  SBVS unit-cell give-ups: %d\n" detail.d_unit_cell_give_ups;
+  Printf.printf "  index flusher: %d store requests, %d messages applied, %d deferred flushes\n"
+    detail.d_flusher_requests detail.d_flusher_messages detail.d_flusher_deferrals;
   match requests_per_new_order detail outcome with
   | Some per_no -> Printf.printf "  store requests per new-order: %.1f\n" per_no
   | None -> ()
@@ -87,6 +89,10 @@ let json_of_run c (detail : Scenarios.tell_detail) outcome =
        (List.map (fun (cm, n) -> Printf.sprintf "\"cm%d\": %d" cm n) detail.d_begin_dist));
   Printf.bprintf buf "  \"stale_master_bounces\": %d,\n" detail.d_stale_bounces;
   Printf.bprintf buf "  \"unit_cell_give_ups\": %d,\n" detail.d_unit_cell_give_ups;
+  (* Informational, outside [bench_compare --exact]'s field list. *)
+  Printf.bprintf buf
+    "  \"flusher_requests\": %d,\n  \"flusher_messages_applied\": %d,\n  \"flusher_deferrals\": %d,\n"
+    detail.d_flusher_requests detail.d_flusher_messages detail.d_flusher_deferrals;
   (match requests_per_new_order detail outcome with
   | Some per_no -> Printf.bprintf buf "  \"requests_per_new_order\": %.2f,\n" per_no
   | None -> ());

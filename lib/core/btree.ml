@@ -42,7 +42,7 @@ type t = {
          [store_new_node] and the CAS that links the node — or a failed
          cleanup [drop_node] — strands the cell with no pointer to it.
          Suspects are stashed here and reclaimed lazily at the next
-         operation entry, after verifying unreachability (a stash entry
+         flush, after verifying unreachability (a stash entry
          may be a false positive: the node linked, then a later step
          failed). *)
   mutable flushing : int list;
@@ -405,18 +405,7 @@ let contention_pause t ~attempts =
     let engine = Kv.Cluster.engine (Kv.Client.cluster t.kv) in
     Tell_sim.Engine.sleep engine ((burned - 7) * (burned - 7) * 500)
 
-(* --- insertion ----------------------------------------------------------------- *)
-
-let insert_entry entries key rid =
-  let cmp (k1, r1) (k2, r2) =
-    match String.compare k1 k2 with 0 -> Int.compare r1 r2 | c -> c
-  in
-  let lst = Array.to_list entries in
-  if List.exists (fun e -> cmp e (key, rid) = 0) lst then entries
-  else Array.of_list (List.sort cmp ((key, rid) :: lst))
-
-let remove_entry entries key rid =
-  Array.of_list (List.filter (fun (k, r) -> not (k = key && r = rid)) (Array.to_list entries))
+(* --- splits -------------------------------------------------------------------- *)
 
 let split_point n = n / 2
 
@@ -532,54 +521,6 @@ let rec insert_sep t ~attempts ~child_level ~sep ~right_id path =
 and ancestors_of t key =
   let _, _, _, path = descend t key in
   path
-
-let rec insert_aux t ~attempts ~key ~rid =
-  if attempts <= 0 then invalid_arg "Btree.insert: too many conflicts";
-  contention_pause t ~attempts;
-  let id, node, token, path = locate_leaf t (key, rid) in
-  match node with
-  | Inner _ -> insert_aux t ~attempts:(attempts - 1) ~key ~rid
-  | Leaf { entries; high_key; next } ->
-      let entries' = insert_entry entries key rid in
-      if entries' == entries then ()
-      else if Array.length entries' <= max_leaf_entries then begin
-        if not (cas_node t id ~token (Leaf { entries = entries'; high_key; next })) then
-          insert_aux t ~attempts:(attempts - 1) ~key ~rid
-      end
-      else begin
-        let mid = split_point (Array.length entries') in
-        let right_entries = Array.sub entries' mid (Array.length entries' - mid) in
-        let sep = right_entries.(0) in
-        let right_id = store_new_node t (Leaf { entries = right_entries; high_key; next }) in
-        with_orphan_guard t right_id @@ fun () ->
-        let left = Leaf { entries = Array.sub entries' 0 mid; high_key = Some sep; next = Some right_id } in
-        if cas_node t id ~token left then
-          insert_sep t ~attempts:max_attempts ~child_level:0 ~sep ~right_id path
-        else begin
-          drop_node t right_id;
-          insert_aux t ~attempts:(attempts - 1) ~key ~rid
-        end
-      end
-
-let insert t ~key ~rid =
-  if t.orphans <> [] then reclaim_orphans t;
-  insert_aux t ~attempts:max_attempts ~key ~rid
-
-let rec remove_aux t ~attempts ~key ~rid =
-  if attempts <= 0 then invalid_arg "Btree.remove: too many conflicts";
-  contention_pause t ~attempts;
-  let id, node, token, _path = locate_leaf t (key, rid) in
-  match node with
-  | Inner _ -> remove_aux t ~attempts:(attempts - 1) ~key ~rid
-  | Leaf { entries; high_key; next } ->
-      let entries' = remove_entry entries key rid in
-      if Array.length entries' = Array.length entries then ()
-      else if not (cas_node t id ~token (Leaf { entries = entries'; high_key; next })) then
-        remove_aux t ~attempts:(attempts - 1) ~key ~rid
-
-let remove t ~key ~rid =
-  if t.orphans <> [] then reclaim_orphans t;
-  remove_aux t ~attempts:max_attempts ~key ~rid
 
 (* --- Bε message buffers (§3d) ------------------------------------------------
 
@@ -743,8 +684,10 @@ let pending_for_range t ~lo ~hi =
       cells
   end
 
-(* Replay [msgs] (oldest first, applied residue included) over the
-   leaf-level entries of [lo, hi): last message per (key, rid) wins. *)
+(* Replay [msgs] (oldest first, applied residue included) over sorted
+   leaf-level entries: last message per (key, rid) wins.  The one replay:
+   range reads, batched point lookups and the flusher's leaf apply all
+   use it. *)
 let merge_pending leaf_entries msgs =
   let status = Hashtbl.create 16 in
   List.iter
@@ -868,24 +811,6 @@ let shared_kv = function
         rest;
       Some t.kv
 
-(* Per-key buffer merge for the batched point-lookup path: replay the
-   stripe's messages for exactly [key] over the leaf rids. *)
-let merge_rids ~key rids msgs =
-  let status = Hashtbl.create 8 in
-  List.iter
-    (fun op ->
-      let k, rid = batch_target op in
-      if k = key then
-        Hashtbl.replace status rid (match op with Add _ -> true | Del _ -> false))
-    msgs;
-  if Hashtbl.length status = 0 then rids
-  else begin
-    let kept = List.filter (fun rid -> Hashtbl.find_opt status rid <> Some false) rids in
-    List.iter (fun rid -> Hashtbl.remove status rid) kept;
-    let adds = Hashtbl.fold (fun rid live acc -> if live then rid :: acc else acc) status [] in
-    match adds with [] -> kept | _ -> List.sort Int.compare (kept @ adds)
-  end
-
 let lookup_many_grouped groups =
   match shared_kv groups with
   | None -> []
@@ -994,19 +919,18 @@ let lookup_many_grouped groups =
                       when below_high (key ^ "\x00", min_int) high_key ->
                         (* The whole [key, key^\x00) range lies in this
                            leaf: the batched copy is authoritative. *)
-                        Some
-                          (Array.to_list entries
-                          |> List.filter_map (fun (k, rid) -> if k = key then Some rid else None))
+                        Some (List.filter (fun (k, _) -> k = key) (Array.to_list entries))
                     | Some (Leaf _) | Some (Inner _) | None -> None)
               in
               match fast with
-              | Some rids when !skip_buffer_merge -> (key, rids)
-              | Some rids when merge_ok ->
+              | Some entries when !skip_buffer_merge -> (key, List.map snd entries)
+              | Some entries when merge_ok ->
                   let msgs =
                     Option.value ~default:[]
                       (Hashtbl.find_opt stripes (buffer_key t (stripe_of t key)))
+                    |> List.filter (fun op -> fst (batch_target op) = key)
                   in
-                  (key, merge_rids ~key rids msgs)
+                  (key, List.map snd (merge_pending entries msgs))
               | Some _ | None ->
                   (* Stale cache, duplicate run spilling into the next
                      leaf, a routing miss, or a fetch that overran the
@@ -1019,55 +943,60 @@ let lookup_many_grouped groups =
 (* --- batched maintenance ------------------------------------------------------ *)
 
 (* The flusher's bulk apply (§5.1 batching applied to index
-   maintenance): route every message through the cached inner levels,
-   fetch all target leaves with one multi-get, apply one LL/SC
+   maintenance), and the only way anything writes a leaf: route every
+   message through the cached inner levels, fetch all target leaves with
+   one multi-get, replay each leaf's messages over its entries
+   ([merge_pending], the same replay the readers use), apply one LL/SC
    conditional write per leaf, and retry only the messages whose leaf
-   went stale, conflicted, or would split.  A leaf that overflows is
-   split in place (all of the batch's entries installed across the two
-   halves at once); the cached inner path is only invalidated when
-   routing was actually stale, never on a plain store-conditional
-   conflict. *)
+   went stale or conflicted.  A leaf the batch overflows is split in the
+   same round, as many ways as it takes; the cached inner path is only
+   invalidated when routing was actually stale, never on a plain
+   store-conditional conflict. *)
 
-let apply_single t = function
-  | Add (key, rid) -> insert_aux t ~attempts:max_attempts ~key ~rid
-  | Del (key, rid) -> remove_aux t ~attempts:max_attempts ~key ~rid
-
-let apply_ops_to_entries entries ops =
-  List.fold_left
-    (fun es op ->
-      match op with
-      | Add (key, rid) -> insert_entry es key rid
-      | Del (key, rid) -> remove_entry es key rid)
-    entries ops
-
-(* Split an overflowing leaf, installing all merged entries at once: CAS
-   the left half over the old cell, store the right half as a fresh node,
-   and push the separator into the ancestors.  Returns [false] when the
-   CAS lost (the caller re-routes the batch). *)
+(* Split an overflowing leaf into k = ⌈n / max_leaf_entries⌉ pieces cut
+   at i·n/k (k = 2 cuts at [split_point]), installing all merged entries
+   at once: store the right pieces as fresh nodes, right to left so each
+   links to its successor, CAS the leftmost piece over the old cell, then
+   push each right piece's separator into the ancestors, left to right.
+   Every stored piece sits under the orphan guard until the CAS links the
+   chain.  Returns [false] when the CAS lost (the caller re-routes the
+   batch). *)
 let split_leaf t id ~token entries' ~high_key ~next =
-  let mid = split_point (Array.length entries') in
-  let right_entries = Array.sub entries' mid (Array.length entries' - mid) in
-  let sep = right_entries.(0) in
-  let right_id = store_new_node t (Leaf { entries = right_entries; high_key; next }) in
-  with_orphan_guard t right_id @@ fun () ->
-  let left =
-    Leaf { entries = Array.sub entries' 0 mid; high_key = Some sep; next = Some right_id }
+  let n = Array.length entries' in
+  let k = (n + max_leaf_entries - 1) / max_leaf_entries in
+  let cut i = i * n / k in
+  let piece i = Array.sub entries' (cut i) (cut (i + 1) - cut i) in
+  let rec store i ~high_key ~next rights =
+    if i = 0 then begin
+      Hashtbl.remove t.decoded id;
+      if cas_node t id ~token (Leaf { entries = piece 0; high_key; next }) then begin
+        List.iter
+          (fun (sep, right_id) ->
+            insert_sep t ~attempts:max_attempts ~child_level:0 ~sep ~right_id (ancestors_of t sep))
+          rights;
+        true
+      end
+      else begin
+        List.iter (fun (_, right_id) -> drop_node t right_id) rights;
+        false
+      end
+    end
+    else begin
+      let entries = piece i in
+      let right_id = store_new_node t (Leaf { entries; high_key; next }) in
+      with_orphan_guard t right_id @@ fun () ->
+      store (i - 1) ~high_key:(Some entries.(0)) ~next:(Some right_id)
+        ((entries.(0), right_id) :: rights)
+    end
   in
-  Hashtbl.remove t.decoded id;
-  if cas_node t id ~token left then begin
-    insert_sep t ~attempts:max_attempts ~child_level:0 ~sep ~right_id (ancestors_of t sep);
-    true
-  end
-  else begin
-    drop_node t right_id;
-    false
-  end
+  store (k - 1) ~high_key ~next []
 
 let batch_rounds = 4
 
+(* Apply [ops] within [rounds] routing rounds; returns the messages the
+   budget left unapplied ([[]] when every message reached its leaf). *)
 let rec batch_round t ~rounds ops =
-  if ops = [] then ()
-  else if rounds <= 0 then List.iter (apply_single t) ops
+  if ops = [] || rounds <= 0 then ops
   else begin
     (* Route every op to a leaf through the cached inner levels; a
        routing failure marks the cached path as stale. *)
@@ -1110,20 +1039,15 @@ let rec batch_round t ~rounds ops =
                   retry := !retry @ beyond
                 end;
                 if fits <> [] then begin
-                  let entries' = apply_ops_to_entries entries fits in
-                  if entries' == entries || entries' = entries then ()
+                  let entries' = Array.of_list (merge_pending (Array.to_list entries) fits) in
+                  if entries' = entries then ()
                   else if Array.length entries' <= max_leaf_entries then begin
                     let node' = Leaf { entries = entries'; high_key; next } in
                     cas_jobs :=
                       (id, fits, node', Kv.Op.Put_if (node_key t id, Some token, encode_node node'))
                       :: !cas_jobs
                   end
-                  else if Array.length entries' <= 2 * max_leaf_entries then
-                    split_jobs := (id, token, entries', high_key, next, fits) :: !split_jobs
-                  else
-                    (* A degenerate bulk load into one leaf: the per-entry
-                       path splits as often as needed. *)
-                    List.iter (apply_single t) fits
+                  else split_jobs := (id, token, entries', high_key, next, fits) :: !split_jobs
                 end))
       items cells;
     (* One conditional multi-write covering every leaf. *)
@@ -1202,8 +1126,8 @@ let enqueue_note meta results =
 
 let enqueue_many t ~ops =
   match enqueue_prepare [ (t, ops) ] with
-  | [], _ -> ()
-  | appends, _ -> ignore (Kv.Client.multi_write t.kv appends)
+  | [], _ -> []
+  | appends, meta -> enqueue_note meta (Kv.Client.multi_write t.kv appends)
 
 let drop_msgs n msgs =
   let rec go n msgs = if n <= 0 then msgs else match msgs with [] -> [] | _ :: rest -> go (n - 1) rest in
@@ -1215,7 +1139,11 @@ let drop_msgs n msgs =
    watermark writer): a lost CAS re-reads the cell and retries, and
    re-applying already-applied messages is idempotent (same order,
    last-writer-wins).  A crash between apply and watermark loses nothing:
-   the messages stay in the cell and the next flush re-applies them. *)
+   the messages stay in the cell and the next flush re-applies them; nor
+   does a round budget that runs out with messages still unplaced, which
+   leaves the watermark where it was and raises [Flush_deferred]. *)
+exception Flush_deferred
+
 let rec flush_stripe_aux t ~stripe ~attempts =
   if attempts <= 0 then 0
   else begin
@@ -1224,7 +1152,7 @@ let rec flush_stripe_aux t ~stripe ~attempts =
     | Some (data, token) ->
         let st = decode_stripe data in
         let pending = drop_msgs st.applied st.msgs in
-        batch_round t ~rounds:batch_rounds pending;
+        if batch_round t ~rounds:batch_rounds pending <> [] then raise Flush_deferred;
         let now = Tell_sim.Engine.now (Kv.Cluster.engine (Kv.Client.cluster t.kv)) in
         let purge_n =
           if st.applied > 0 && now - st.applied_at >= purge_grace_ns then st.applied else 0
@@ -1302,8 +1230,9 @@ let pending_messages t =
 
 (* --- bulk construction --------------------------------------------------------- *)
 
-(* Chop [items] into chunks of at most [size], at least half-full where
-   possible (the last two chunks are rebalanced). *)
+(* Chop [items] into consecutive chunks of exactly [size], the last one
+   holding the remainder (it may be arbitrarily small: nothing is
+   rebalanced). *)
 let chunk ~size items =
   let rec go acc current n = function
     | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
@@ -1472,13 +1401,3 @@ let check_invariants t =
   match check t with
   | [] -> ()
   | violations -> invalid_arg ("Btree.check_invariants: " ^ String.concat "; " violations)
-
-(* Test hooks: fabricate the post-crash state (a stored node nothing
-   points to, stashed as a suspect) without having to engineer the
-   exception interleaving that produces it. *)
-let debug_make_orphan t ~key ~rid =
-  let id = store_new_node t (Leaf { entries = [| (key, rid) |]; high_key = None; next = None }) in
-  stash_orphan t id;
-  id
-
-let debug_node_exists t id = Kv.Client.get t.kv (node_key t id) <> None

@@ -8,6 +8,16 @@
     has moved simply walks right, which makes readers correct even while a
     split by another processing node is mid-flight.
 
+    There is one way into the tree: every mutation — a commit's index
+    entries, the GC sweep's and read-time index GC's deletes, a
+    [CREATE INDEX] backfill — is an insert/delete {e message} appended to
+    a Bε buffer stripe ({!enqueue_many}, {!enqueue_prepare}), and only a
+    flush ({!flush_stripe}) writes leaves: it applies a stripe's messages
+    in batched rounds, one multi-get and one conditional multi-write per
+    round, splitting an overflowing leaf as many ways as it takes in the
+    same round.  Readers merge pending messages, so an entry is visible
+    the moment its append is acknowledged.
+
     Following §5.3.1, inner nodes are cached on the processing node; leaf
     nodes are always fetched from the store.  When a fetched leaf's range
     contradicts the cached parents (the leaf has split), the cached path
@@ -27,8 +37,6 @@ val attach : Tell_kv.Client.t -> name:string -> t
 (** A per-processing-node handle with its own inner-node cache. *)
 
 val name : t -> string
-
-val insert : t -> key:string -> rid:int -> unit
 
 val lookup_many_grouped : (t * string list) list -> (string * int list) list list
 (** Point lookups for many keys across several trees attached to the
@@ -56,11 +64,12 @@ val range : t -> lo:string -> hi:string -> (string * int) list
 
 type batch_op = Add of (string * int) | Del of (string * int)
 
-val enqueue_many : t -> ops:batch_op list -> unit
+val enqueue_many : t -> ops:batch_op list -> (t * int * int) list
 (** Append the messages to the buffer stripes covering their keys: one
     blind multi-write round trip, never a conflict, and the
     acknowledgement makes the mutations durable (replicated like any
-    other cell). *)
+    other cell).  Returns {!enqueue_note}'s
+    [(tree, stripe, stripe cell bytes after the append)] list. *)
 
 val enqueue_prepare : (t * batch_op list) list -> Tell_kv.Op.t list * (t * int) list
 (** {!enqueue_many} split in two and generalised across trees that share
@@ -74,13 +83,20 @@ val enqueue_prepare : (t * batch_op list) list -> Tell_kv.Op.t list * (t * int) 
 
 val enqueue_note : (t * int) list -> Tell_kv.Op.result list -> (t * int * int) list
 
+exception Flush_deferred
+(** Raised by {!flush_stripe} when its routing rounds ran out before
+    every message reached its leaf.  The stripe's watermark is left where
+    it was; replay is idempotent, so the next flush applies the messages
+    again, the ones already placed included. *)
+
 val flush_stripe : t -> stripe:int -> int
 (** Apply the stripe's pending messages to the leaves (batched), advance
     its watermark, and purge residue older than the purge grace.  Safe to
     race with concurrent appends, but not with another flush of the same
     stripe: raises [Invalid_argument] if this handle is already flushing
     [stripe].  Must run inside a fiber.  Returns the number of messages
-    applied. *)
+    applied; raises {!Flush_deferred} when it left them for a later
+    flush. *)
 
 val stripe_cell_needs_flush : string -> now:int -> bool
 (** Would {!flush_stripe} on a stripe cell holding this raw value do any
@@ -106,8 +122,6 @@ val bulk_cells : name:string -> entries:(string * int) list -> (string * string)
 (**/**)
 
 (** Test hooks: entry points only the test suites call. *)
-
-val remove : t -> key:string -> rid:int -> unit
 
 val lookup : t -> key:string -> int list
 (** All rids stored under exactly [key], ascending. *)
@@ -136,15 +150,9 @@ val reclaim_orphans : t -> unit
 (** Verify every stashed suspect against the live tree and delete the
     ones that are provably unreachable (the loser's half of a concurrent
     split whose cleanup was interrupted).  Runs automatically at the next
-    mutation on the handle; exposed for tests.  Must run inside a fiber. *)
+    flush through the handle; exposed for tests.  Must run inside a fiber. *)
 
 val orphan_count : t -> int
-
-val debug_make_orphan : t -> key:string -> rid:int -> int
-(** Store a single-entry leaf that nothing points to and stash it;
-    returns its node id.  Test hook for the reclamation path. *)
-
-val debug_node_exists : t -> int -> bool
 
 (** {2 Cell codecs} *)
 

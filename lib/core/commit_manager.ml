@@ -63,8 +63,7 @@ type t = {
          replacement took over its identity while it was partitioned *)
 }
 
-let make cluster ~id ?(peers = []) ?(range_size = 64) ?(sync_interval_ns = 1_000_000)
-    ?lease_ns () =
+let make cluster ~id ?(peers = []) ?(range_size = 64) ?(sync_interval_ns = 1_000_000) () =
   let engine = Kv.Cluster.engine cluster in
   let label = Printf.sprintf "cm%d" id in
   let group = Sim.Engine.make_group engine label in
@@ -80,7 +79,7 @@ let make cluster ~id ?(peers = []) ?(range_size = 64) ?(sync_interval_ns = 1_000
       range_size;
       sync_interval_ns;
       retire_after_ns = 4 * sync_interval_ns;
-      lease_ns = (match lease_ns with Some l -> l | None -> 4 * sync_interval_ns);
+      lease_ns = 4 * sync_interval_ns;
       range_start = 1;
       range_next = 1;
       range_end = 1;
@@ -624,8 +623,8 @@ let recover t =
     log;
   invalidate t
 
-let create cluster ~id ?peers ?range_size ?sync_interval_ns ?lease_ns () =
-  let t = make cluster ~id ?peers ?range_size ?sync_interval_ns ?lease_ns () in
+let create cluster ~id ?peers ?range_size ?sync_interval_ns () =
+  let t = make cluster ~id ?peers ?range_size ?sync_interval_ns () in
   Kv.Cluster.register_commit_manager cluster ~cm_id:id;
   start_sync_fiber t;
   t

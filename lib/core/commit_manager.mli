@@ -31,16 +31,15 @@ val create :
   ?peers:int list ->
   ?range_size:int ->
   ?sync_interval_ns:int ->
-  ?lease_ns:int ->
   unit ->
   t
 (** [peers] lists the ids of the other commit managers whose published
     state this one merges.  The synchronisation fiber starts immediately
-    (1 ms interval by default, as in §6.3.3).  [lease_ns] (default
-    4× the sync interval) bounds how stale a peer's merged descriptor
-    may be before a begin pulls that peer's published state inline from
-    the store — the short-lease rule that keeps the common-case begin a
-    round to one manager while still bounding descriptor staleness. *)
+    (1 ms interval by default, as in §6.3.3).  A lease of 4× the sync
+    interval bounds how stale a peer's merged descriptor may be before a
+    begin pulls that peer's published state inline from the store — the
+    short-lease rule that keeps the common-case begin a round to one
+    manager while still bounding descriptor staleness. *)
 
 val id : t -> int
 val alive : t -> bool

@@ -8,9 +8,6 @@ type t = {
   mutable pns : Pn.t list;
   mutable crashed_pns : Pn.t list;
   mutable next_pn_id : int;
-  mutable next_cm_id : int;
-  cm_sync_interval_ns : int;
-  cm_range_size : int;
   recovery : Recovery.t Lazy.t;
   gc : Gc_task.t Lazy.t;
   index_flusher : Index_flusher.t;
@@ -128,7 +125,6 @@ let start_tid_reclamation t =
       done)
 
 let create engine ?(kv_config = Kv.Cluster.default_config) ?(n_commit_managers = 1)
-    ?(cm_sync_interval_ns = 1_000_000) ?(cm_range_size = 64)
     ?(index_flush_interval_ns = Index_flusher.default_flush_interval_ns)
     ?(index_flush_threshold_bytes = Index_flusher.default_flush_threshold_bytes) () =
   let cluster = Kv.Cluster.create engine kv_config in
@@ -145,13 +141,7 @@ let create engine ?(kv_config = Kv.Cluster.default_config) ?(n_commit_managers =
       ~interval_ns:index_flush_interval_ns ~threshold_bytes:index_flush_threshold_bytes ()
   in
   let peer_ids = List.init n_commit_managers (fun i -> i) in
-  let cms =
-    List.map
-      (fun id ->
-        Commit_manager.create cluster ~id ~peers:peer_ids ~range_size:cm_range_size
-          ~sync_interval_ns:cm_sync_interval_ns ())
-      peer_ids
-  in
+  let cms = List.map (fun id -> Commit_manager.create cluster ~id ~peers:peer_ids ()) peer_ids in
   let rec t =
     {
       engine;
@@ -160,9 +150,6 @@ let create engine ?(kv_config = Kv.Cluster.default_config) ?(n_commit_managers =
       pns = [];
       crashed_pns = [];
       next_pn_id = 0;
-      next_cm_id = n_commit_managers;
-      cm_sync_interval_ns;
-      cm_range_size;
       recovery = lazy (Recovery.create t.cluster ~cms:(fun () -> t.cms));
       gc =
         lazy
@@ -180,9 +167,9 @@ let cluster t = t.cluster
 let commit_managers t = t.cms
 let pns t = t.pns
 
-let add_pn t ?cores ?cost ?buffer ?notify_flush_window_ns ?begin_window_ns () =
+let add_pn t ?cores ?buffer ?notify_flush_window_ns ?begin_window_ns () =
   let pn =
-    Pn.create t.cluster ~id:t.next_pn_id ?cores ?cost ?buffer ?notify_flush_window_ns
+    Pn.create t.cluster ~id:t.next_pn_id ?cores ?buffer ?notify_flush_window_ns
       ?begin_window_ns ~commit_managers:t.cms ()
   in
   Pn.set_index_buffered_hook pn (fun ~index ~stripe ~bytes ->

@@ -11,8 +11,6 @@ val create :
   Tell_sim.Engine.t ->
   ?kv_config:Tell_kv.Cluster.config ->
   ?n_commit_managers:int ->
-  ?cm_sync_interval_ns:int ->
-  ?cm_range_size:int ->
   ?index_flush_interval_ns:int ->
   ?index_flush_threshold_bytes:int ->
   unit ->
@@ -25,7 +23,6 @@ val commit_managers : t -> Commit_manager.t list
 val add_pn :
   t ->
   ?cores:int ->
-  ?cost:Pn.cost_model ->
   ?buffer:Buffer_pool.strategy ->
   ?notify_flush_window_ns:int ->
   ?begin_window_ns:int ->

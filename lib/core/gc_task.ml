@@ -96,7 +96,7 @@ let sweep_index t ~table ~(index : Schema.index) =
              the stripe's append order guarantees the delete lands after
              any still-buffered insert of the same entry (a direct remove
              could be resurrected by a later flush of that insert). *)
-          Btree.enqueue_many tree ~ops:(List.map (fun e -> Btree.Del e) dead);
+          ignore (Btree.enqueue_many tree ~ops:(List.map (fun e -> Btree.Del e) dead));
           t.stats.index_entries_dropped <- t.stats.index_entries_dropped + List.length dead)
 
 let run_once t ~tables =

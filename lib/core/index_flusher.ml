@@ -37,6 +37,7 @@ type stats = {
   mutable nudges : int;  (* overflow nudges that marked a stripe dirty *)
   mutable stripes_flushed : int;
   mutable messages_applied : int;
+  mutable deferrals : int;  (* flushes whose round budget ran out ([Btree.Flush_deferred]) *)
   mutable errors : int;  (* unexpected exceptions swallowed to keep the fiber alive *)
 }
 
@@ -90,6 +91,10 @@ let flush_one t (index, stripe) =
           (* Store unreachable: nothing is lost (the messages stay in the
              stripe cell); the next sweep retries. *)
           ()
+      | exception Btree.Flush_deferred ->
+          (* Contention outlasted the round budget: the watermark stayed
+             put, so the next sweep replays the stripe. *)
+          t.stats.deferrals <- t.stats.deferrals + 1
       | exception _ ->
           (* Anything else — an undecodable cell, a [Btree.Retry] leaking
              past a flush, an exhausted CAS budget — must not kill the
@@ -207,7 +212,15 @@ let create engine ~group ~kv ?(interval_ns = default_flush_interval_ns)
       trees = Hashtbl.create 16;
       dirty = [];
       in_flight = None;
-      stats = { sweeps = 0; nudges = 0; stripes_flushed = 0; messages_applied = 0; errors = 0 };
+      stats =
+        {
+          sweeps = 0;
+          nudges = 0;
+          stripes_flushed = 0;
+          messages_applied = 0;
+          deferrals = 0;
+          errors = 0;
+        };
     }
   in
   let discovery_period = 64 in

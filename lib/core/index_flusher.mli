@@ -16,6 +16,10 @@ type stats = {
   mutable nudges : int;
   mutable stripes_flushed : int;
   mutable messages_applied : int;
+  mutable deferrals : int;
+      (** Flushes that ran out of routing rounds with messages unplaced
+          ({!Btree.Flush_deferred}): nothing is lost, the stripe is
+          replayed by a later sweep.  Not an error. *)
   mutable errors : int;
       (** Unexpected exceptions swallowed (and counted) to keep the
           flusher fibers alive — a bad stripe cell, a leaked retry. *)

@@ -91,7 +91,7 @@ let poison t =
     Sim.Engine.Group.kill t.group
   end
 
-let create cluster ~id ?(cores = 4) ?(cost = default_cost_model)
+let create cluster ~id ?(cores = 4)
     ?(buffer = Buffer_pool.Transaction_buffer)
     ?(notify_flush_window_ns = default_notify_flush_window_ns)
     ?(begin_window_ns = default_begin_window_ns) ~commit_managers () =
@@ -106,7 +106,7 @@ let create cluster ~id ?(cores = 4) ?(cost = default_cost_model)
       group;
       cpu = Sim.Resource.create engine ~servers:cores label;
       kv = Kv.Client.create cluster ~group;
-      cost;
+      cost = default_cost_model;
       commit_managers = Array.of_list commit_managers;
       cm_cursor = id;
       pool = None;

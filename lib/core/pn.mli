@@ -26,7 +26,6 @@ val create :
   Tell_kv.Cluster.t ->
   id:int ->
   ?cores:int ->
-  ?cost:cost_model ->
   ?buffer:Buffer_pool.strategy ->
   ?notify_flush_window_ns:int ->
   ?begin_window_ns:int ->

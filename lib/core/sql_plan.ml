@@ -475,7 +475,11 @@ let run_create_table pn ~table ~cols ~primary_key =
   Created
 
 (* Backfill: conservatively index the key of every stored version
-   (indexes are version-unaware, so over-approximation is correct). *)
+   (indexes are version-unaware, so over-approximation is correct).  The
+   entries take the commit path into the tree: one round of blind stripe
+   appends per 128-rid chunk, each stripe's new size reported to the
+   flusher exactly as a commit reports it, so the flusher learns the new
+   index at once and splits its leaves in batched rounds. *)
 let backfill_index pn ~table ~(index : Schema.index) =
   let tree = Btree.attach (Pn.kv pn) ~name:index.idx_name in
   let top = Pn.max_rid pn ~table in
@@ -484,22 +488,29 @@ let backfill_index pn ~table ~(index : Schema.index) =
       let stop = min top (cursor + 127) in
       let keys = List.init (stop - cursor + 1) (fun i -> Keys.record ~table ~rid:(cursor + i)) in
       let replies = Tell_kv.Client.multi_get (Pn.kv pn) keys in
-      List.iteri
-        (fun i reply ->
-          match reply with
-          | None -> ()
-          | Some (data, _) ->
-              List.iter
-                (fun (v : Record.version) ->
-                  match v.payload with
-                  | Record.Tombstone -> ()
-                  | Record.Tuple tuple ->
-                      let key =
-                        Codec.encode_key (Schema.key_of_tuple ~columns:index.idx_columns tuple)
-                      in
-                      Btree.insert tree ~key ~rid:(cursor + i))
-                (Record.versions (Record.decode data)))
-        replies;
+      let ops =
+        List.concat
+          (List.mapi
+             (fun i reply ->
+               match reply with
+               | None -> []
+               | Some (data, _) ->
+                   List.filter_map
+                     (fun (v : Record.version) ->
+                       match v.payload with
+                       | Record.Tombstone -> None
+                       | Record.Tuple tuple ->
+                           Some
+                             (Codec.encode_key
+                                (Schema.key_of_tuple ~columns:index.idx_columns tuple)))
+                     (Record.versions (Record.decode data))
+                   |> List.sort_uniq String.compare
+                   |> List.map (fun key -> Btree.Add (key, cursor + i)))
+             replies)
+      in
+      List.iter
+        (fun (tree, stripe, bytes) -> Pn.note_index_buffered pn ~index:(Btree.name tree) ~stripe ~bytes)
+        (Btree.enqueue_many tree ~ops);
       sweep (stop + 1)
     end
   in

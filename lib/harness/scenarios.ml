@@ -84,6 +84,12 @@ type tell_detail = {
           over the PNs and sorted by id — the §4.2 load spread across the
           interval-partitioned managers *)
   d_phases : (string * Sim.Stats.Histogram.t * int) list;
+  d_flusher_requests : int;
+      (** store requests the index flusher sent (included in [d_requests]) *)
+  d_flusher_messages : int;  (** Bε messages the flusher applied to leaves *)
+  d_flusher_deferrals : int;
+      (** flushes that ran out of routing rounds and left their stripe for
+          a later sweep *)
 }
 
 let run_tell_detailed (c : tell_config) =
@@ -136,6 +142,8 @@ let run_tell_detailed (c : tell_config) =
   List.iter
     (fun pn -> Sim.Stats.Breakdown.merge_into ~src:(Pn.commit_stats pn) ~dst:merged)
     pns;
+  let flusher = Database.index_flusher db in
+  let flusher_requests = Kv.Client.requests_sent (Index_flusher.kv flusher) in
   let detail =
     {
       (* Store traffic is PN clients + the index flusher's management
@@ -143,14 +151,11 @@ let run_tell_detailed (c : tell_config) =
          storage-bandwidth spend even though they sit on no
          transaction's phase. *)
       d_requests =
-        List.fold_left
-          (fun a pn -> a + Kv.Client.requests_sent (Pn.kv pn))
-          (Kv.Client.requests_sent (Index_flusher.kv (Database.index_flusher db)))
-          pns;
+        List.fold_left (fun a pn -> a + Kv.Client.requests_sent (Pn.kv pn)) flusher_requests pns;
       d_ops =
         List.fold_left
           (fun a pn -> a + Kv.Client.ops_sent (Pn.kv pn))
-          (Kv.Client.ops_sent (Index_flusher.kv (Database.index_flusher db)))
+          (Kv.Client.ops_sent (Index_flusher.kv flusher))
           pns;
       d_begins = List.fold_left (fun a pn -> a + fst (Pn.begin_stats pn)) 0 pns;
       d_begin_rpcs = List.fold_left (fun a pn -> a + snd (Pn.begin_stats pn)) 0 pns;
@@ -169,6 +174,9 @@ let run_tell_detailed (c : tell_config) =
            pns;
          List.sort compare (Hashtbl.fold (fun cm n acc -> (cm, n) :: acc) dist []));
       d_phases = Sim.Stats.Breakdown.phases merged;
+      d_flusher_requests = flusher_requests;
+      d_flusher_messages = (Index_flusher.stats flusher).messages_applied;
+      d_flusher_deferrals = (Index_flusher.stats flusher).deferrals;
     }
   in
   (outcome, detail)

@@ -1,6 +1,8 @@
 (* The latch-free B+tree: model-based random testing against a reference
-   map, bulk construction, concurrent insertions from several processing
-   nodes, and structural invariants (§5.3). *)
+   map, bulk construction, concurrent flushes from several processing
+   nodes, and structural invariants (§5.3).  Every mutation takes the one
+   write path: Bε messages appended to a buffer stripe, applied to the
+   leaves by a flush. *)
 
 module Sim = Tell_sim
 module Kv = Tell_kv
@@ -24,7 +26,48 @@ let with_cluster f =
 
 let client cluster = Kv.Client.create cluster ~group:(Sim.Engine.root_group (Kv.Cluster.engine cluster))
 
-(* Random operation sequence checked against a set model. *)
+(* Read through [f] from the leaves alone: merged reads replay the
+   applied residue the stripe cells still hold, which would mask a
+   message the bulk apply lost or misrouted. *)
+let leaves_only f =
+  Btree.unsafe_set_skip_buffer_merge true;
+  Fun.protect ~finally:(fun () -> Btree.unsafe_set_skip_buffer_merge false) f
+
+let enqueue tree ops = ignore (Btree.enqueue_many tree ~ops)
+
+let op_key = function Btree.Add (key, _) | Btree.Del (key, _) -> key
+
+(* Buffer [ops] and flush exactly the stripes they landed in — the
+   production route into the bulk apply. *)
+let apply_buffered tree ops =
+  enqueue tree ops;
+  List.iter
+    (fun stripe -> ignore (Btree.flush_stripe tree ~stripe))
+    (List.sort_uniq compare (List.map (fun op -> Btree.stripe_of tree (op_key op)) ops))
+
+let insert_all tree entries = apply_buffered tree (List.map (fun e -> Btree.Add e) entries)
+
+let rec chunks n = function
+  | [] -> []
+  | l ->
+      let rec take n = function
+        | x :: rest when n > 0 ->
+            let got, rem = take (n - 1) rest in
+            (x :: got, rem)
+        | rest -> ([], rest)
+      in
+      let got, rem = take n l in
+      got :: chunks n rem
+
+(* Install a bulk-built tree over [entries] straight into the store. *)
+let bulk_load cluster ~name entries =
+  List.iter
+    (fun (key, data) -> Kv.Cluster.poke cluster ~key ~data)
+    (Btree.bulk_cells ~name ~entries)
+
+(* Random operation sequence checked against a set model: single-message
+   appends, flushed every few steps, so reads see both merged pending
+   messages and leaves the flushes split. *)
 let test_model_random () =
   with_cluster (fun _engine cluster ->
       let kv = client cluster in
@@ -32,15 +75,15 @@ let test_model_random () =
       let tree = Btree.attach kv ~name:"model" in
       let rng = Random.State.make [| 1234 |] in
       let model = ref Entry_set.empty in
-      for _step = 1 to 1_500 do
+      for step = 1 to 1_500 do
         let key = Printf.sprintf "k%03d" (Random.State.int rng 200) in
         let rid = Random.State.int rng 5 in
-        match Random.State.int rng 10 with
+        (match Random.State.int rng 10 with
         | 0 | 1 | 2 | 3 | 4 | 5 ->
-            Btree.insert tree ~key ~rid;
+            enqueue tree [ Btree.Add (key, rid) ];
             model := Entry_set.add (key, rid) !model
         | 6 | 7 ->
-            Btree.remove tree ~key ~rid;
+            enqueue tree [ Btree.Del (key, rid) ];
             model := Entry_set.remove (key, rid) !model
         | 8 ->
             let expected =
@@ -57,26 +100,33 @@ let test_model_random () =
             in
             Alcotest.(check (list (pair string int)))
               (Printf.sprintf "range [%s,%s)" lo hi)
-              expected (Btree.range tree ~lo ~hi)
+              expected (Btree.range tree ~lo ~hi));
+        if step mod 25 = 0 then ignore (Btree.flush_all tree)
       done;
+      ignore (Btree.flush_all tree);
       Btree.check_invariants tree;
-      (* Final full-range sweep. *)
-      let all = Btree.range tree ~lo:"" ~hi:"\xff" in
-      Alcotest.(check (list (pair string int))) "final contents" (Entry_set.elements !model) all)
+      (* Final full-range sweep, from the leaves alone. *)
+      leaves_only (fun () ->
+          Alcotest.(check (list (pair string int)))
+            "final contents" (Entry_set.elements !model)
+            (Btree.range tree ~lo:"" ~hi:"\xff")))
 
-(* Enough sequential insertions to force leaf, inner, and root splits. *)
+(* Enough flushed insertions to force leaf, inner, and root splits: small
+   flushes that split the rightmost leaf two or three ways, then one big
+   flush that splits a leaf dozens of ways at once. *)
 let test_many_inserts_split () =
   with_cluster (fun _engine cluster ->
       let kv = client cluster in
       Btree.create kv ~name:"big";
       let tree = Btree.attach kv ~name:"big" in
       let n = 5_000 in
-      for i = 1 to n do
-        Btree.insert tree ~key:(Printf.sprintf "key%06d" i) ~rid:i
-      done;
+      let entries = List.init n (fun i -> (Printf.sprintf "key%06d" (i + 1), i + 1)) in
+      let first, second = List.partition (fun (_, i) -> i <= n / 2) entries in
+      List.iter (insert_all tree) (chunks 100 first);
+      insert_all tree second;
       Btree.check_invariants tree;
       Alcotest.(check int) "all entries present" n
-        (List.length (Btree.range tree ~lo:"" ~hi:"\xff"));
+        (List.length (leaves_only (fun () -> Btree.range tree ~lo:"" ~hi:"\xff")));
       (* Point lookups across the range. *)
       for i = 1 to n do
         if i mod 137 = 0 then
@@ -86,36 +136,49 @@ let test_many_inserts_split () =
             (Btree.lookup tree ~key:(Printf.sprintf "key%06d" i))
       done)
 
-(* Concurrent inserters on separate clients (PNs): all entries must end up
-   present, without latches, through LL/SC retries alone. *)
+(* Concurrent flushers on separate clients (PNs), each owning the buffer
+   stripes of its own keyspace: their leaf splits race each other's
+   separator CASes on the shared inner nodes, and all entries must end up
+   present without latches, through LL/SC retries alone. *)
 let test_concurrent_inserts () =
   with_cluster (fun engine cluster ->
-      let kv0 = client cluster in
-      Btree.create kv0 ~name:"conc";
       let n_workers = 6 in
-      let per_worker = 300 in
+      let per_worker = 400 in
+      let key w j = Printf.sprintf "c%d_%05d" w j in
+      (* Two bulk leaves of 48 per keyspace, one buffer stripe each. *)
+      bulk_load cluster ~name:"conc"
+        (List.concat (List.init n_workers (fun w -> List.init 96 (fun i -> (key w (2 * i), w)))));
+      let kv0 = client cluster in
+      let tree = Btree.attach kv0 ~name:"conc" in
+      let owned =
+        List.init n_workers (fun w ->
+            List.sort_uniq compare
+              (List.init (2 * per_worker) (fun j -> Btree.stripe_of tree (key w j))))
+      in
+      Alcotest.(check int) "keyspaces own disjoint stripes" (List.length (List.concat owned))
+        (List.length (List.sort_uniq compare (List.concat owned)));
       let done_count = ref 0 in
       for w = 0 to n_workers - 1 do
         Sim.Engine.spawn engine (fun () ->
             let kv = client cluster in
             let tree = Btree.attach kv ~name:"conc" in
-            for i = 0 to per_worker - 1 do
-              let key = Printf.sprintf "k%05d" ((i * n_workers) + w) in
-              Btree.insert tree ~key ~rid:w;
-              (* Interleave aggressively. *)
-              if i mod 7 = 0 then Sim.Engine.sleep engine 1_000
-            done;
+            let entries = List.init per_worker (fun i -> (key w ((2 * i) + 1), w)) in
+            List.iter
+              (fun chunk ->
+                insert_all tree chunk;
+                (* Interleave aggressively. *)
+                Sim.Engine.sleep engine 1_000)
+              (chunks 20 entries);
             incr done_count)
       done;
       (* Wait for every worker. *)
       while !done_count < n_workers do
         Sim.Engine.sleep engine 1_000_000
       done;
-      let tree = Btree.attach kv0 ~name:"conc" in
       Btree.check_invariants tree;
-      let all = Btree.range tree ~lo:"" ~hi:"\xff" in
-      Alcotest.(check int) "all concurrent inserts present" (n_workers * per_worker)
-        (List.length all))
+      Alcotest.(check int) "nothing pending" 0 (Btree.pending_messages tree);
+      Alcotest.(check int) "all concurrent inserts present" (n_workers * (96 + per_worker))
+        (List.length (leaves_only (fun () -> Btree.range tree ~lo:"" ~hi:"\xff"))))
 
 (* Bulk construction must agree with incremental construction. *)
 let test_bulk_matches_incremental () =
@@ -124,14 +187,7 @@ let test_bulk_matches_incremental () =
         List.init 2_000 (fun i -> (Printf.sprintf "key%05d" (i * 7 mod 2000), i mod 3))
       in
       let kv = client cluster in
-      List.iter
-        (fun (key, data) -> Kv.Client.put kv key data)
-        (List.map (fun (k, v) -> (k, v)) []);
-      ignore kv;
-      (* Install bulk cells directly. *)
-      List.iter
-        (fun (key, data) -> Kv.Cluster.poke cluster ~key ~data)
-        (Btree.bulk_cells ~name:"bulk" ~entries);
+      bulk_load cluster ~name:"bulk" entries;
       let tree = Btree.attach kv ~name:"bulk" in
       Btree.check_invariants tree;
       let expected = List.sort_uniq compare entries in
@@ -139,10 +195,11 @@ let test_bulk_matches_incremental () =
         "bulk-built tree contains exactly the entries" expected
         (Btree.range tree ~lo:"" ~hi:"\xff");
       (* And it must remain fully updatable. *)
-      Btree.insert tree ~key:"key99999" ~rid:1;
-      Btree.remove tree ~key:"key00000" ~rid:0;
+      apply_buffered tree [ Btree.Add ("key99999", 1); Btree.Del ("key00000", 0) ];
       Btree.check_invariants tree;
-      Alcotest.(check (list int)) "insert after bulk" [ 1 ] (Btree.lookup tree ~key:"key99999"))
+      Alcotest.(check (list int)) "insert after bulk" [ 1 ] (Btree.lookup tree ~key:"key99999");
+      Alcotest.(check (list int)) "remove after bulk" []
+        (leaves_only (fun () -> Btree.lookup tree ~key:"key00000")))
 
 (* [range] honours both ends of [lo, hi): inclusive low, exclusive high,
    across leaf boundaries, and empty when the bounds cross. *)
@@ -151,9 +208,7 @@ let test_range_bounds () =
       let kv = client cluster in
       Btree.create kv ~name:"lim";
       let tree = Btree.attach kv ~name:"lim" in
-      for i = 1 to 500 do
-        Btree.insert tree ~key:(Printf.sprintf "k%04d" i) ~rid:i
-      done;
+      insert_all tree (List.init 500 (fun i -> (Printf.sprintf "k%04d" (i + 1), i + 1)));
       Alcotest.(check (list (pair string int)))
         "[k0001, k0011) holds the first ten"
         (List.init 10 (fun i -> (Printf.sprintf "k%04d" (i + 1), i + 1)))
@@ -168,9 +223,7 @@ let test_lookup_many_grouped () =
       let kv = client cluster in
       Btree.create kv ~name:"many";
       let tree = Btree.attach kv ~name:"many" in
-      for i = 1 to 2_000 do
-        Btree.insert tree ~key:(Printf.sprintf "k%05d" i) ~rid:i
-      done;
+      insert_all tree (List.init 2_000 (fun i -> (Printf.sprintf "k%05d" (i + 1), i + 1)));
       let keys =
         List.map (fun i -> Printf.sprintf "k%05d" i) [ 1; 57; 58; 1999; 1500; 12345; 3 ]
       in
@@ -186,53 +239,29 @@ let test_lookup_many_grouped () =
           Alcotest.(check (list int)) ("rids for " ^ key) (Btree.lookup tree ~key) rids)
         keys results;
       (* And the batched path agrees after mutations invalidate caches. *)
-      Btree.remove tree ~key:"k00057" ~rid:57;
-      Btree.insert tree ~key:"k00057" ~rid:5757;
+      apply_buffered tree [ Btree.Del ("k00057", 57); Btree.Add ("k00057", 5757) ];
       match Btree.lookup_many_grouped [ (tree, [ "k00057" ]) ] with
       | [ [ (_, rids) ] ] -> Alcotest.(check (list int)) "fresh value" [ 5757 ] rids
       | _ -> Alcotest.fail "single result expected")
 
-(* Read through [f] from the leaves alone: merged reads replay the
-   applied residue the stripe cells still hold, which would mask a
-   message the bulk apply lost or misrouted. *)
-let leaves_only f =
-  Btree.unsafe_set_skip_buffer_merge true;
-  Fun.protect ~finally:(fun () -> Btree.unsafe_set_skip_buffer_merge false) f
-
-let op_key = function Btree.Add (key, _) | Btree.Del (key, _) -> key
-
-(* Buffer [ops] and flush exactly the stripes they landed in — the
-   production route into the bulk apply. *)
-let apply_buffered tree ops =
-  Btree.enqueue_many tree ~ops;
-  List.iter
-    (fun stripe -> ignore (Btree.flush_stripe tree ~stripe))
-    (List.sort_uniq compare (List.map (fun op -> Btree.stripe_of tree (op_key op)) ops))
-
-(* Property: the flusher's bulk apply is equivalent to the sequential
-   per-entry operations, including while concurrent flushers and a
-   direct writer on other clients mutate the same tree.  Two trees
-   receive the same operations — per entry on one, buffered and flushed
-   on the other — and their leaves must end up identical.  Both trees
-   are bulk-built with one leaf per buffer stripe and one keyspace per
-   flushing fiber, so every stripe has a single flusher (as under the
-   background flusher's single flight); the direct writer and the
-   flushes race each other's leaf CASes, and every fiber's splits race
-   on the shared inner nodes. *)
+(* Property: the flusher's bulk apply reaches exactly the sorted-assoc
+   model, including while concurrent flushers on other clients mutate
+   the same tree, a writer on yet another client appends to the stripes
+   under the main fiber's flushes, and a fourth client rewrites the main
+   fiber's leaves under it.  The tree is bulk-built with one leaf per
+   buffer stripe and one keyspace per flushing fiber, so every stripe has
+   a single flusher (as under the background flusher's single flight);
+   the writer's appends race the main fiber's stripe CASes, the rewrites
+   race its leaf and split CASes, and every fiber's splits race on the
+   shared inner nodes. *)
 let test_batched_matches_sequential () =
   with_cluster (fun engine cluster ->
       let key prefix i = Printf.sprintf "%s_%04d" prefix i in
       let prefixes = [ "c0"; "c1"; "c2"; "m" ] in
       (* 4 keyspaces x 192 entries = 16 bulk leaves of 48, one stripe each. *)
       let bulk = List.concat_map (fun p -> List.init 192 (fun i -> (key p i, 1_000))) prefixes in
-      List.iter
-        (fun name ->
-          List.iter
-            (fun (key, data) -> Kv.Cluster.poke cluster ~key ~data)
-            (Btree.bulk_cells ~name ~entries:bulk))
-        [ "p_seq"; "p_bat" ];
+      bulk_load cluster ~name:"p_bat" bulk;
       let kv0 = client cluster in
-      let seq = Btree.attach kv0 ~name:"p_seq" in
       let bat = Btree.attach kv0 ~name:"p_bat" in
       let owned =
         List.concat_map
@@ -241,57 +270,61 @@ let test_batched_matches_sequential () =
       in
       Alcotest.(check int) "keyspaces own disjoint stripes" (List.length owned)
         (List.length (List.sort_uniq compare owned));
-      (* Concurrent workers: each applies its own keyspace to both trees,
-         per entry on one and buffered on the other, splitting leaves
-         under the main fiber's feet. *)
+      (* Concurrent workers: each applies its own keyspace, splitting
+         leaves under the main fiber's feet. *)
       let n_churn = 3 in
       let churn_done = ref 0 in
+      let model = ref (Entry_set.of_list bulk) in
       for w = 0 to n_churn - 1 do
+        let entries = List.init 120 (fun i -> (key (Printf.sprintf "c%d" w) i, i)) in
+        let dels = List.filteri (fun i _ -> i mod 3 = 0) entries in
+        List.iter (fun e -> model := Entry_set.add e !model) entries;
+        List.iter (fun e -> model := Entry_set.remove e !model) dels;
         Sim.Engine.spawn engine (fun () ->
             let kv = client cluster in
-            let seq = Btree.attach kv ~name:"p_seq" in
             let bat = Btree.attach kv ~name:"p_bat" in
-            let entries = List.init 120 (fun i -> (key (Printf.sprintf "c%d" w) i, i)) in
-            let rec chunks = function
-              | [] -> []
-              | l ->
-                  let rec take n = function
-                    | x :: rest when n > 0 ->
-                        let got, rem = take (n - 1) rest in
-                        (x :: got, rem)
-                    | rest -> ([], rest)
-                  in
-                  let got, rem = take 20 l in
-                  got :: chunks rem
-            in
             List.iter
               (fun chunk ->
-                List.iter (fun (key, rid) -> Btree.insert seq ~key ~rid) chunk;
-                apply_buffered bat (List.map (fun e -> Btree.Add e) chunk);
+                insert_all bat chunk;
                 Sim.Engine.sleep engine 2_000)
-              (chunks entries);
-            let dels = List.filteri (fun i _ -> i mod 3 = 0) entries in
-            List.iter (fun (key, rid) -> Btree.remove seq ~key ~rid) dels;
+              (chunks 20 entries);
             apply_buffered bat (List.map (fun e -> Btree.Del e) dels);
             incr churn_done)
       done;
-      (* A direct writer in the main fiber's keyspace: its per-entry
-         inserts CAS-race the main fiber's flushes on the same leaves. *)
+      (* A writer in the main fiber's keyspace that only appends: its
+         messages land between the main fiber's stripe read and its
+         watermark CAS, and must be folded in, never lost. *)
       let direct = List.init 150 (fun i -> (key "m" i, 7)) in
       Sim.Engine.spawn engine (fun () ->
           let kv = client cluster in
-          let seq = Btree.attach kv ~name:"p_seq" in
           let bat = Btree.attach kv ~name:"p_bat" in
           List.iter
-            (fun (key, rid) ->
-              Btree.insert seq ~key ~rid;
-              Btree.insert bat ~key ~rid;
+            (fun e ->
+              enqueue bat [ Btree.Add e ];
               Sim.Engine.sleep engine 300)
             direct;
           incr churn_done);
+      (* A token bumper on the main fiber's leaves: it rewrites each "m"
+         leaf's current bytes unchanged, so their content never moves but
+         the main fiber's leaf CASes lose races.  A lost CAS must re-queue
+         the leaf's messages, never drop them. *)
+      let main_done = ref false in
+      Sim.Engine.spawn engine (fun () ->
+          let kv = client cluster in
+          while not !main_done do
+            List.iter
+              (fun (cell, data, token) ->
+                match Btree.decode_node data with
+                | Btree.Leaf { entries; _ }
+                  when Array.length entries > 0 && (fst entries.(0)).[0] = 'm' ->
+                    ignore (Kv.Client.put_if kv cell (Some token) data)
+                | Btree.Leaf _ | Btree.Inner _ -> ())
+              (Kv.Client.scan_all kv ~prefix:"i/p_bat/n/");
+            Sim.Engine.sleep engine 700
+          done;
+          incr churn_done);
       (* Main fiber: random mixed rounds over its own hot keyspace. *)
       let rng = Random.State.make [| 99 |] in
-      let model = ref (Entry_set.of_list (List.filter (fun (k, _) -> k.[0] = 'm') bulk)) in
       for _round = 1 to 40 do
         let adds = ref [] and dels = ref [] in
         for _op = 1 to 25 do
@@ -303,30 +336,24 @@ let test_batched_matches_sequential () =
           else if not (List.mem (key, rid) !dels) then dels := (key, rid) :: !dels
         done;
         let adds = List.rev !adds and dels = List.rev !dels in
-        List.iter (fun (key, rid) -> Btree.insert seq ~key ~rid) adds;
-        List.iter (fun (key, rid) -> Btree.remove seq ~key ~rid) dels;
         apply_buffered bat
           (List.map (fun e -> Btree.Add e) adds @ List.map (fun e -> Btree.Del e) dels);
         List.iter (fun e -> model := Entry_set.add e !model) adds;
         List.iter (fun e -> model := Entry_set.remove e !model) dels;
         Sim.Engine.sleep engine 1_000
       done;
+      main_done := true;
       List.iter (fun e -> model := Entry_set.add e !model) direct;
-      while !churn_done < n_churn + 1 do
+      while !churn_done < n_churn + 2 do
         Sim.Engine.sleep engine 1_000_000
       done;
       ignore (Btree.flush_all bat);
       Alcotest.(check int) "nothing pending" 0 (Btree.pending_messages bat);
-      Btree.check_invariants seq;
       Btree.check_invariants bat;
       leaves_only (fun () ->
           Alcotest.(check (list (pair string int)))
-            "batched leaves = sequential leaves"
-            (Btree.range seq ~lo:"" ~hi:"\xff")
-            (Btree.range bat ~lo:"" ~hi:"\xff");
-          Alcotest.(check (list (pair string int)))
             "batched leaves = model" (Entry_set.elements !model)
-            (Btree.range bat ~lo:"m" ~hi:"n")))
+            (Btree.range bat ~lo:"" ~hi:"\xff")))
 
 (* Property: random buffered maintenance, flushed every round, against a
    sorted-assoc model,
@@ -393,29 +420,35 @@ let test_property_batched_separators () =
     [ 7; 21; 42 ]
 
 (* Bε buffered maintenance (§3d): random interleavings of buffered
-   enqueues, partial and full flushes, and concurrent direct inserts
-   that force splits under the buffer's feet must be equivalent to
-   direct application — the merged read view tracks a set model at
-   every step, and after a final flush the leaves alone hold exactly
-   the model. *)
+   enqueues and partial and full flushes must track a set model — the
+   merged read view at every step, and after a final flush the leaves
+   alone.  Meanwhile a churn writer on another client flushes its own
+   stripe, so its leaf and inner splits race the main fiber's bulk
+   applies on the shared inner nodes. *)
 let test_buffered_matches_direct () =
   List.iter
     (fun seed ->
       with_cluster (fun engine cluster ->
-          let kv0 = client cluster in
           let name = Printf.sprintf "beps%d" seed in
-          Btree.create kv0 ~name;
+          (* Two bulk leaves, one buffer stripe each: the main fiber's
+             keys ("b...") fall in stripe 0, the churn's ("z...") in
+             stripe 1. *)
+          bulk_load cluster ~name
+            (List.init 48 (fun i -> (Printf.sprintf "a%03d" i, i))
+            @ List.init 48 (fun i -> (Printf.sprintf "y%03d" i, i)));
+          let kv0 = client cluster in
           let tree = Btree.attach kv0 ~name in
-          (* Direct churn from another client in a disjoint keyspace:
-             leaf and inner splits race the flusher's bulk applies. *)
+          Alcotest.(check (pair int int))
+            "one stripe per writer" (0, 1)
+            (Btree.stripe_of tree "b000", Btree.stripe_of tree "z00001");
           let churn_done = ref false in
           Sim.Engine.spawn engine (fun () ->
-              let kv = client cluster in
-              let t2 = Btree.attach kv ~name in
-              for i = 1 to 400 do
-                Btree.insert t2 ~key:(Printf.sprintf "z%05d" i) ~rid:i;
-                if i mod 50 = 0 then Sim.Engine.sleep engine 2_000
-              done;
+              let t2 = Btree.attach (client cluster) ~name in
+              List.iter
+                (fun chunk ->
+                  insert_all t2 chunk;
+                  Sim.Engine.sleep engine 2_000)
+                (chunks 50 (List.init 400 (fun i -> (Printf.sprintf "z%05d" (i + 1), i + 1))));
               churn_done := true);
           let rng = Random.State.make [| seed |] in
           let model = ref Entry_set.empty in
@@ -429,19 +462,13 @@ let test_buffered_matches_direct () =
                   if Random.State.int rng 10 < 7 then Btree.Add (key, rid)
                   else Btree.Del (key, rid))
             in
-            Btree.enqueue_many tree ~ops;
+            enqueue tree ops;
             List.iter
               (function
                 | Btree.Add e -> model := Entry_set.add e !model
                 | Btree.Del e -> model := Entry_set.remove e !model)
               ops;
-            (match Random.State.int rng 3 with
-            | 0 -> ()
-            | 1 ->
-                ignore
-                  (Btree.flush_stripe tree
-                     ~stripe:(Random.State.int rng (Btree.stripe_count tree)))
-            | _ -> ignore (Btree.flush_all tree));
+            if Random.State.int rng 3 > 0 then ignore (Btree.flush_stripe tree ~stripe:0);
             if round mod 5 = 0 then
               Alcotest.(check (list (pair string int)))
                 (Printf.sprintf "seed %d round %d merged view" seed round)
@@ -454,12 +481,13 @@ let test_buffered_matches_direct () =
           ignore (Btree.flush_all tree);
           Alcotest.(check int) "no pending after final flush" 0 (Btree.pending_messages tree);
           Btree.check_invariants tree;
-          Alcotest.(check (list (pair string int)))
-            (Printf.sprintf "seed %d leaves = model after flush" seed)
-            (Entry_set.elements !model)
-            (Btree.range tree ~lo:"b" ~hi:"c");
-          Alcotest.(check int) "churn survived the flushes" 400
-            (List.length (Btree.range tree ~lo:"z" ~hi:"\xff"))))
+          leaves_only (fun () ->
+              Alcotest.(check (list (pair string int)))
+                (Printf.sprintf "seed %d leaves = model after flush" seed)
+                (Entry_set.elements !model)
+                (Btree.range tree ~lo:"b" ~hi:"c");
+              Alcotest.(check int) "churn survived the flushes" 400
+                (List.length (Btree.range tree ~lo:"z" ~hi:"\xff")))))
     [ 11; 23 ]
 
 (* Every read path against a half-flushed tree: one stripe applied, the
@@ -477,8 +505,8 @@ let test_half_flushed_reads () =
       let tree = Btree.attach kv ~name:"half" in
       Alcotest.(check bool) "bulk tree has several stripes" true (Btree.stripe_count tree > 1);
       (* Three messages far enough apart to land in distinct stripes. *)
-      Btree.enqueue_many tree
-        ~ops:[ Btree.Add ("h00100a", 7); Btree.Del ("h01500", 1500); Btree.Add ("h01900", 9999) ];
+      enqueue tree
+        [ Btree.Add ("h00100a", 7); Btree.Del ("h01500", 1500); Btree.Add ("h01900", 9999) ];
       ignore (Btree.flush_stripe tree ~stripe:(Btree.stripe_of tree "h00100a"));
       Alcotest.(check (list int)) "flushed stripe entry" [ 7 ] (Btree.lookup tree ~key:"h00100a");
       Alcotest.(check (list int)) "pending delete hides the leaf entry" []
@@ -526,8 +554,8 @@ let test_guard_overrun () =
         (fun (key, data) -> Kv.Cluster.poke cluster ~key ~data)
         (Btree.bulk_cells ~name:"guard" ~entries);
       let tree = Btree.attach kv ~name:"guard" in
-      Btree.enqueue_many tree
-        ~ops:[ Btree.Add ("g00100a", 7); Btree.Del ("g01500", 1500); Btree.Add ("g01900", 9999) ];
+      enqueue tree
+        [ Btree.Add ("g00100a", 7); Btree.Del ("g01500", 1500); Btree.Add ("g01900", 9999) ];
       ignore (Btree.flush_stripe tree ~stripe:(Btree.stripe_of tree "g00100a"));
       let reads label =
         let before = Kv.Client.requests_sent kv in
@@ -571,37 +599,40 @@ let test_duplicate_keys () =
       let kv = client cluster in
       Btree.create kv ~name:"dup";
       let tree = Btree.attach kv ~name:"dup" in
-      (* Many rids under the same attribute key (non-unique index). *)
-      for rid = 1 to 200 do
-        Btree.insert tree ~key:"same" ~rid
-      done;
+      (* Many rids under the same attribute key (non-unique index), in one
+         flush: the leaf splits four ways inside one duplicate run. *)
+      insert_all tree (List.init 200 (fun i -> ("same", i + 1)));
+      Btree.check_invariants tree;
       Alcotest.(check int) "all duplicates" 200 (List.length (Btree.lookup tree ~key:"same"));
-      Btree.remove tree ~key:"same" ~rid:77;
-      let rids = Btree.lookup tree ~key:"same" in
+      apply_buffered tree [ Btree.Del ("same", 77) ];
+      let rids = leaves_only (fun () -> Btree.lookup tree ~key:"same") in
       Alcotest.(check int) "one removed" 199 (List.length rids);
       Alcotest.(check bool) "right one removed" false (List.mem 77 rids))
 
 (* §3c fix: the loser of a concurrent split could leak an unreachable
    node when its cleanup (or a later step of the split) was interrupted
    by an exception.  Suspects are stashed on the handle and reclaimed at
-   the next mutation — provably stranded nodes are deleted, linked nodes
+   the next flush — provably stranded nodes are deleted, linked nodes
    survive even when over-stashed. *)
 let test_orphan_reclaim () =
   with_cluster (fun _engine cluster ->
       let kv = client cluster in
       Btree.create kv ~name:"orph";
       let tree = Btree.attach kv ~name:"orph" in
-      for i = 1 to 300 do
-        Btree.insert tree ~key:(Printf.sprintf "k%04d" i) ~rid:i
-      done;
-      (* A stranded node: stored, never linked. *)
-      let orphan = Btree.debug_make_orphan tree ~key:"k0150" ~rid:999 in
-      Alcotest.(check bool) "orphan stored" true (Btree.debug_node_exists tree orphan);
+      insert_all tree (List.init 300 (fun i -> (Printf.sprintf "k%04d" (i + 1), i + 1)));
+      (* A stranded node: stored under a fresh id, never linked — the
+         state an exception between storing a split piece and the CAS
+         that links it leaves behind. *)
+      let orphan = Kv.Client.increment kv (Keys.index_node_counter ~index:"orph") 1 in
+      let orphan_key = Keys.index_node ~index:"orph" ~node_id:orphan in
+      Kv.Client.put kv orphan_key
+        (Btree.encode_node (Btree.Leaf { entries = [| ("k0150", 999) |]; high_key = None; next = None }));
+      Btree.stash_orphan tree orphan;
       Alcotest.(check int) "stashed" 1 (Btree.orphan_count tree);
-      (* The next mutation reclaims it. *)
-      Btree.insert tree ~key:"k9999" ~rid:1;
+      (* The next flush reclaims it. *)
+      apply_buffered tree [ Btree.Add ("k9999", 1) ];
       Alcotest.(check int) "stash drained" 0 (Btree.orphan_count tree);
-      Alcotest.(check bool) "orphan deleted" false (Btree.debug_node_exists tree orphan);
+      Alcotest.(check bool) "orphan deleted" true (Kv.Client.get kv orphan_key = None);
       (* The stranded entry never became visible. *)
       Alcotest.(check (list int)) "not visible" [ 150 ] (Btree.lookup tree ~key:"k0150");
       (* Over-stashing live nodes must reclaim nothing: stash every
@@ -613,12 +644,13 @@ let test_orphan_reclaim () =
       Btree.reclaim_orphans tree;
       Btree.check_invariants tree;
       Alcotest.(check int) "no live node dropped" 301
-        (List.length (Btree.range tree ~lo:"" ~hi:"\xff")))
+        (List.length (leaves_only (fun () -> Btree.range tree ~lo:"" ~hi:"\xff"))))
 
-(* Deep same-leaf contention: eight fibers CAS-racing duplicate entries
-   into one hot leaf used to exhaust the 64-attempt budget on some seeds
-   ([Invalid_argument "Btree.insert: too many conflicts"]).  The
-   deterministic growing retry pause must ride it out. *)
+(* Deep contention on the shared inner levels: eight flushers on separate
+   clients, each owning the stripe of one hot duplicate key, split their
+   leaves as fast as they can, so every split's separator CAS-races the
+   others on the one root.  The deterministic growing retry pause must
+   ride out [insert_sep]'s 64-attempt budget on every seed. *)
 let run_hot_leaf seed =
   let engine = Sim.Engine.create () in
   let cluster =
@@ -626,28 +658,36 @@ let run_hot_leaf seed =
   in
   let result = ref None in
   Sim.Engine.spawn engine (fun () ->
-      let kv0 = client cluster in
-      Btree.create kv0 ~name:"hot";
-      let n_workers = 8 and per_worker = 25 in
+      let n_workers = 8 and per_worker = 300 and bulk = 48 in
+      let hot w = Printf.sprintf "hot%d" w in
+      (* One bulk leaf, and so one stripe, per hot key. *)
+      bulk_load cluster ~name:"hot"
+        (List.concat (List.init n_workers (fun w -> List.init bulk (fun i -> (hot w, -i - 1)))));
       let done_count = ref 0 in
       for w = 0 to n_workers - 1 do
         Sim.Engine.spawn engine (fun () ->
             let kv = client cluster in
             let tree = Btree.attach kv ~name:"hot" in
-            for i = 0 to per_worker - 1 do
-              Btree.insert tree ~key:"hot" ~rid:((w * per_worker) + i)
-            done;
+            List.iter (insert_all tree)
+              (chunks 10 (List.init per_worker (fun i -> (hot w, (w * per_worker) + i))));
             incr done_count)
       done;
       while !done_count < n_workers do
         Sim.Engine.sleep engine 1_000_000
       done;
-      let tree = Btree.attach kv0 ~name:"hot" in
+      let tree = Btree.attach (client cluster) ~name:"hot" in
       Btree.check_invariants tree;
-      result := Some (List.length (Btree.lookup tree ~key:"hot")));
+      result :=
+        Some
+          (leaves_only (fun () ->
+               List.init n_workers (fun w -> List.length (Btree.lookup tree ~key:(hot w))))));
   Sim.Engine.run engine ~until:120_000_000_000 ();
   match !result with
-  | Some n -> Alcotest.(check int) (Printf.sprintf "seed %d all present" seed) 200 n
+  | Some counts ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "seed %d all present" seed)
+        (List.init 8 (fun _ -> 48 + 300))
+        counts
   | None -> Alcotest.fail (Printf.sprintf "seed %d did not finish" seed)
 
 let test_hot_leaf_contention () = List.iter run_hot_leaf [ 1; 4; 6 ]
@@ -661,8 +701,8 @@ let test_concurrent_flush_refused () =
       let kv = client cluster in
       Btree.create kv ~name:"solo";
       let tree = Btree.attach kv ~name:"solo" in
-      Btree.enqueue_many tree
-        ~ops:(List.init 20 (fun i -> Btree.Add (Printf.sprintf "s%03d" i, i)));
+      enqueue tree
+        (List.init 20 (fun i -> Btree.Add (Printf.sprintf "s%03d" i, i)));
       let first = Sim.Ivar.create engine in
       Sim.Engine.spawn engine (fun () -> Sim.Ivar.fill first (Btree.flush_stripe tree ~stripe:0));
       (* The spawned flush runs first and suspends on its stripe read. *)
@@ -676,6 +716,47 @@ let test_concurrent_flush_refused () =
       Alcotest.(check int) "no pending messages" 0 (Btree.pending_messages tree);
       Alcotest.(check int) "all entries in the leaves" 20
         (List.length (Btree.range tree ~lo:"s" ~hi:"t")))
+
+(* One flush whose messages overflow a leaf more than twice over: the
+   batched round must split the leaf as many ways as it takes in that
+   same round — not fall back to one descent and CAS per message, which
+   costs at least two store requests per message. *)
+let test_flush_overflows_leaf () =
+  with_cluster (fun _engine cluster ->
+      let kv = client cluster in
+      Btree.create kv ~name:"wide";
+      let tree = Btree.attach kv ~name:"wide" in
+      let key i = Printf.sprintf "w%04d" (i * 7919 mod 300) in
+      let ops =
+        List.concat
+          (List.init 300 (fun i ->
+               let add = Btree.Add (key i, i) in
+               if i mod 5 = 4 then [ add; Btree.Del (key (i - 3), i - 3) ] else [ add ]))
+      in
+      let model =
+        List.fold_left
+          (fun m -> function
+            | Btree.Add e -> if List.mem e m then m else List.sort compare (e :: m)
+            | Btree.Del e -> List.filter (( <> ) e) m)
+          [] ops
+      in
+      enqueue tree ops;
+      Alcotest.(check int) "one stripe" 1 (Btree.stripe_count tree);
+      let before = Kv.Client.requests_sent kv in
+      Alcotest.(check int) "one flush applies every message" (List.length ops)
+        (Btree.flush_stripe tree ~stripe:0);
+      let requests = Kv.Client.requests_sent kv - before in
+      Alcotest.(check bool)
+        (Printf.sprintf "under two store requests per message (%d for %d)" requests
+           (List.length ops))
+        true
+        (requests < 2 * List.length ops);
+      Alcotest.(check int) "nothing pending" 0 (Btree.pending_messages tree);
+      Alcotest.(check (list string)) "structurally sound" [] (Btree.check tree);
+      leaves_only (fun () ->
+          Alcotest.(check (list (pair string int)))
+            "leaves = sorted-assoc model" model
+            (Btree.range tree ~lo:"" ~hi:"\xff")))
 
 let () =
   Alcotest.run "btree"
@@ -705,5 +786,7 @@ let () =
             test_hot_leaf_contention;
           Alcotest.test_case "concurrent flush of one stripe is refused" `Quick
             test_concurrent_flush_refused;
+          Alcotest.test_case "one flush splits a leaf more than two ways" `Quick
+            test_flush_overflows_leaf;
         ] );
     ]

@@ -195,16 +195,21 @@ let test_lookup_many_grouped_stale_leaf_fallback () =
       let t1 = Btree.attach kv1 ~name:"idx" in
       let t2 = Btree.attach kv2 ~name:"idx" in
       let key i = Printf.sprintf "key%05d" i in
-      for i = 1 to 40 do
-        Btree.insert t2 ~key:(key i) ~rid:i
-      done;
+      (* Every write goes through the buffer: append, then flush the one
+         stripe of this incrementally-built tree. *)
+      let insert_range lo hi =
+        ignore
+          (Btree.enqueue_many t2 ~ops:(List.init (hi - lo + 1) (fun j -> Btree.Add (key (lo + j), lo + j))));
+        ignore (Btree.flush_stripe t2 ~stripe:0)
+      in
+      insert_range 1 40;
       (* Warm t1's inner-node cache so it memoises today's separators. *)
       List.iter (fun i -> Alcotest.(check (list int)) "warm" [ i ] (Btree.lookup t1 ~key:(key i)))
         [ 1; 20; 40 ];
       (* Split the leaves out from under the cache through the other
-         handle: enough inserts to force leaf (and inner) splits. *)
-      for i = 41 to 2_000 do
-        Btree.insert t2 ~key:(key i) ~rid:i
+         handle: enough inserts to force many leaf splits. *)
+      for chunk = 0 to 48 do
+        insert_range (41 + (chunk * 40)) (80 + (chunk * 40))
       done;
       (* t1's multi-lookup must still be correct everywhere: keys whose
          cached leaf is still authoritative take the fast path, moved keys

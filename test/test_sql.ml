@@ -158,6 +158,43 @@ let test_create_index_backfill () =
       check_rows "query through backfilled index" "ben,28; dan,28"
         (Database.exec pn "SELECT name, age FROM people WHERE age = 28 ORDER BY name"))
 
+(* A backfill big enough to overflow the new index's one leaf several
+   times over: its entries reach the tree as buffered messages, so the
+   index answers straight away through the stripe merge, and the
+   flusher's batched rounds split the leaf without losing an entry. *)
+let test_create_index_backfill_populated () =
+  with_db (fun db pn ->
+      let n = 240 in
+      ignore (Database.exec pn "CREATE TABLE t (id INT, grp INT, PRIMARY KEY (id))");
+      for chunk = 0 to (n / 40) - 1 do
+        ignore
+          (Database.exec pn
+             ("INSERT INTO t VALUES "
+             ^ String.concat ", "
+                 (List.init 40 (fun i ->
+                      let id = (chunk * 40) + i + 1 in
+                      Printf.sprintf "(%d, %d)" id (id mod 7)))))
+      done;
+      ignore (Database.exec pn "CREATE INDEX idx_grp ON t (grp)");
+      let tree = Btree.attach (Pn.kv pn) ~name:"idx_grp" in
+      let expect label =
+        check_rows (label ^ ": count") "34"
+          (Database.exec pn "SELECT COUNT(*) FROM t WHERE grp = 3");
+        check_rows (label ^ ": rows") "6; 13; 20"
+          (Database.exec pn "SELECT id FROM t WHERE grp = 6 ORDER BY id LIMIT 3");
+        Alcotest.(check int)
+          (label ^ ": index entries for one key") 34
+          (List.length (Btree.lookup tree ~key:(Codec.encode_key [ Value.Int 3 ])))
+      in
+      expect "straight after CREATE INDEX";
+      Alcotest.(check bool) "the flusher drained" true
+        (Index_flusher.drain (Database.index_flusher db));
+      expect "after the drain";
+      Alcotest.(check int) "nothing pending" 0 (Btree.pending_messages tree);
+      Alcotest.(check (list string)) "structurally sound" [] (Btree.check tree);
+      Alcotest.(check int) "every row indexed" n
+        (List.length (Btree.range tree ~lo:"" ~hi:"\xff")))
+
 let test_null_semantics () =
   with_db (fun _db pn ->
       ignore (Database.exec pn "CREATE TABLE t (id INT, v INT, PRIMARY KEY (id))");
@@ -225,6 +262,8 @@ let () =
           Alcotest.test_case "join" `Quick test_join;
           Alcotest.test_case "update/delete" `Quick test_update_delete;
           Alcotest.test_case "create index backfill" `Quick test_create_index_backfill;
+          Alcotest.test_case "create index over a populated table" `Quick
+            test_create_index_backfill_populated;
           Alcotest.test_case "null semantics" `Quick test_null_semantics;
           Alcotest.test_case "IN/BETWEEN/LIKE/HAVING" `Quick test_in_between_like_having;
           Alcotest.test_case "transactional rollback" `Quick test_multi_row_transactionality;
